@@ -28,7 +28,6 @@ from .eulerian import (
 from .recursive_tree import Tree, sample_odd_counts, tanny_sample_batch
 from .replication import child_seed
 from .verify import (
-    KS_BAND,
     CheckReport,
     brute_force_walk_pmf,
     empirical_cf,
@@ -403,7 +402,7 @@ def c14_shape_frequencies(seed: int, fast: bool = False) -> list[CheckReport]:
         run = simulate_seeded(n, p, law, child_seed(seed, 1400 + r))
         census = forest_census(run, shape_cap=3)
         shape_counts.append(census.nu_shape)
-        dsq_rates.append(sum(d * d for d in census.delta_per_tree) / n)
+        dsq_rates.append(int(census.delta_per_tree @ census.delta_per_tree) / n)
     reports = []
     for shape in _SMALL_SHAPES:
         samples = np.array([sc.get(shape, 0) / n for sc in shape_counts])

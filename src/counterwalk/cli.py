@@ -37,7 +37,7 @@ from . import asymptotics as asym
 from .acceptance import DEFAULT_SEED, run_all
 from .eulerian import ExactPmf, delta_pmf, eulerian_row, odd_count_pmf
 from .recursive_tree import parity_profile, sample_rrt
-from .replication import child_seed, replica_seeds, run_replicas, thread_cap
+from .replication import replica_seeds, run_replicas
 from .verify import BRUTE_FORCE_MAX_N, brute_force_walk_pmf
 from .walk_engine import StepLaw, forest_census, parse_mu_spec, simulate_seeded
 
@@ -117,22 +117,21 @@ def _pmf_rows(pmf: ExactPmf) -> list[tuple[str, int, int]]:
     return [(str(v), p.numerator * (denom // p.denominator), denom) for v, p in pmf.items()]
 
 
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
-
-
 # ---------------------------------------------------------------- simulate
 
 
-def _summary_worker(n: int, p_text: str, mu: str, traj_every: int, task: tuple[int, int]):
+def _replica(n: int, p: Fraction, law: StepLaw, traj_every: int, task: tuple[int, int]):
     rep, seed = task
-    run = simulate_seeded(n, Fraction(p_text), parse_mu_spec(mu), seed)
+    run = simulate_seeded(n, p, law, seed)
     nu1 = forest_census(run, shape_cap=1).nu.get(1, 0)
     summary = (rep, n, run.innovations, float(run.final_check), float(run.final_hat), nu1)
     traj = []
     if traj_every > 0:
-        for step in range(traj_every, n + 1, traj_every):
-            traj.append((rep, step, float(run.s_check[step - 1]), float(run.s_hat[step - 1])))
+        at = slice(traj_every - 1, None, traj_every)
+        steps = range(traj_every, n + 1, traj_every)
+        s_check = run.as_float(run.s_check[at]).tolist()
+        s_hat = run.as_float(run.s_hat[at]).tolist()
+        traj = [(rep, step, c, h) for step, c, h in zip(steps, s_check, s_hat)]
     return summary, traj
 
 
@@ -149,9 +148,8 @@ def _cmd_simulate(args) -> int:
         "simulate", n=args.n, p=p, mu=law.spec_string(), reps=args.reps,
         seed=args.seed, traj_every=args.traj_every,
     )
-    worker = partial(_summary_worker, args.n, str(p), law.spec_string(), args.traj_every)
-    tasks = list(enumerate(replica_seeds(args.seed, args.reps)))
-    results = run_replicas(worker, tasks, workers=thread_cap() if args.reps >= 50 else 1)
+    replica = partial(_replica, args.n, p, law, args.traj_every)
+    results = run_replicas(replica, list(enumerate(replica_seeds(args.seed, args.reps))))
 
     lines = ["rep,n,i_n,S_check,S_hat,nu1", _comment_line(config, args.seed)]
     for summary, _ in results:
@@ -252,7 +250,7 @@ def _cmd_limits(args) -> int:
 
     def add(name: str, value: Fraction | None) -> None:
         if value is not None:
-            lines.append(f"{name},{_fraction_str(value)},{float(value)!r}")
+            lines.append(f"{name},{value},{float(value)!r}")
 
     add("velocity", constants.velocity)
     add("clt_variance", constants.clt_variance)

@@ -1,16 +1,13 @@
 """Deterministic seed derivation and replica scheduling.
 
 Every replica draws from its own stream whose seed is a 64-bit avalanche
-mix of the master seed and the replica index.  Results are therefore
-independent of how replicas are scheduled, and identical for any worker
-count.
+mix of the master seed and the replica index, so a replica's result does
+not depend on how many replicas run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -35,37 +32,14 @@ def child_seed(master: int, index: int) -> int:
     return splitmix64((master & _MASK) ^ splitmix64(index & _MASK))
 
 
-def thread_cap() -> int:
-    """Worker cap from ``COUNTERWALK_THREADS`` (default: machine cores)."""
-    raw = os.environ.get("COUNTERWALK_THREADS", "")
-    if raw.strip():
-        try:
-            cap = int(raw)
-        except ValueError as exc:
-            raise ValueError(f"COUNTERWALK_THREADS must be an integer, got {raw!r}") from exc
-        if cap < 1:
-            raise ValueError("COUNTERWALK_THREADS must be >= 1")
-        return cap
-    return os.cpu_count() or 1
+def run_replicas(fn: Callable[[U], T], tasks: Sequence[U], workers: int | None = None) -> list[T]:
+    """Evaluate ``fn`` on each replica task, one at a time and in
+    replica-index order, in this process.
 
-
-def run_replicas(
-    fn: Callable[[U], T],
-    tasks: Sequence[U],
-    workers: int | None = None,
-) -> list[T]:
-    """Evaluate ``fn`` on each replica task, in replica-index order.
-
-    ``fn`` must be a module-level callable (or partial of one) when
-    ``workers > 1``: it is shipped to worker processes.  Output order
-    never depends on the schedule.
+    ``workers`` is ignored; ``perfbench/tracer.py`` wraps this function by
+    name and still passes it.
     """
-    if workers is None:
-        workers = thread_cap()
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+    return [fn(task) for task in tasks]
 
 
 def replica_seeds(master: int, count: int) -> list[int]:

@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtr
 
 from .eulerian import ExactPmf
 from .walk_engine import StepLaw
@@ -221,6 +220,8 @@ def ks_normal(
     The default acceptance band ``1.63/sqrt(M)`` is a generous asymptotic
     1%-level band, used as a deterministic gate rather than a test.
     """
+    from scipy.special import ndtr  # here, so that importing the package does not load scipy
+
     x = np.asarray(samples, dtype=np.float64)
     m = x.size
     if m < 100:

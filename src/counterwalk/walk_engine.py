@@ -1,23 +1,26 @@
 """Coupled simulation of counterbalanced and reinforced partial sums.
 
-One shared randomness stream drives both walks.  Per step the stream is
-consumed in a fixed order: the innovation bit first, then (only on a
-counterbalancing step) the uniform attachment pick, then (only on an
-innovation step) the fresh step draw.  The first step is always an
-innovation.  Any fixed consumption order yields the same law; this one is
-pinned for reproducibility.
+Step ``m`` is an innovation with probability ``p`` (step 1 always is) and
+then draws a fresh value; otherwise it picks a uniform earlier step ``u``
+and takes the opposite of ``u``'s step.  The picks form a genealogical
+forest: every innovation roots a random recursive tree, and a step's
+counterbalanced value is its tree's draw times ``(-1)**depth``, while the
+reinforced walk takes the draw itself.  `forest` recovers each step's root
+and depth parity from the picks by pointer jumping; every simulator and
+every reduction in this module runs on its output.
 
-Each vertex ``m`` carries ``(tree_id, parity)``: the index of the
-innovation that founded its genealogical tree and its depth parity inside
-that tree.  The counterbalanced step is ``(-1)**parity`` times the tree's
-innovation draw and the reinforced step is the draw itself, so the two
-walks agree up to sign at every single step by construction.
+`simulate` consumes its generator in a fixed order: ``n`` innovation
+uniforms (step ``j``, 0-based, is an innovation when its uniform is below
+``p``; the first is drawn but ignored), then ``n`` pick uniforms (step
+``j`` picks ``floor(uniform * j)``), then one fresh step per innovation.
+Lattice laws (``rademacher``, ``dirac``) are simulated as int64 multiples of
+their lattice step, so their sums are exact; float laws finish their sums
+with `math.fsum` and compensate their partial sums.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -98,27 +101,28 @@ class StepLaw:
             return f"gauss:{self.params[0]},{self.params[1]}"
         return f"pareto:{self.params[0]}"
 
-    def sample(self, rng: random.Random) -> Number:
-        """One draw.  Exact laws return exact values (int or Fraction)."""
+    @property
+    def lattice_step(self) -> Fraction | None:
+        """Step of the lattice an exact law lives on; ``None`` for float laws."""
         if self.kind == "rademacher":
-            return 1 if rng.getrandbits(1) else -1
+            return Fraction(1)
         if self.kind == "dirac":
-            return _exact(self.params[0])
-        if self.kind == "uniform":
-            return 2.0 * rng.random() - 1.0
-        if self.kind == "gauss":
-            mean, var = self.params
-            return rng.gauss(float(mean), math.sqrt(float(var)))
-        alpha = float(self.params[0])
-        mag = (1.0 - rng.random()) ** (-1.0 / alpha)
-        return mag if rng.getrandbits(1) else -mag
+            return self.params[0]
+        return None
+
+    def sample_units(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` draws of an exact law as int64 multiples of `lattice_step`."""
+        if self.kind == "rademacher":
+            return 2 * rng.integers(0, 2, size=size) - 1
+        if self.kind == "dirac":
+            return np.ones(size, dtype=np.int64)
+        raise ValueError(f"{self.kind} is not a lattice law")
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws as float64 (exact laws stay exactly representable)."""
-        if self.kind == "rademacher":
-            return (2 * rng.integers(0, 2, size=size) - 1).astype(np.float64)
-        if self.kind == "dirac":
-            return np.full(size, float(self.params[0]))
+        """``size`` draws as float64 (an exact law's draws are its lattice
+        step, rounded to float, times `sample_units`)."""
+        if self.exact:
+            return float(self.lattice_step) * self.sample_units(rng, size)
         if self.kind == "uniform":
             return rng.uniform(-1.0, 1.0, size=size)
         if self.kind == "gauss":
@@ -177,125 +181,150 @@ def _parse_number(text: str, message: str) -> Fraction:
         raise ValueError(message) from None
 
 
-@dataclass
+
+
+def forest(innov: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root and depth parity of every vertex of a genealogical forest.
+
+    Axis 0 of ``innov`` (bool) and ``picks`` (int) is the 0-based step; any
+    further axes are independent replicas.  Step ``j`` roots a tree when
+    ``innov[j]`` holds or ``j == 0``, and otherwise hangs below step
+    ``picks[j] < j``.  Returns ``(root, odd)``: the step that founded each
+    vertex's tree, and whether the vertex sits at odd depth in it.
+
+    Pointer jumping (Wyllie 1979): roots are self-loops, and each round XORs
+    the parity bit of a vertex's current target into its own and then jumps
+    to the target's target.  A round halves every remaining path, so a
+    recursive tree of depth about ``e ln n`` needs about ``log2(e ln n)``
+    rounds.
+    """
+    n = innov.shape[0]
+    step = np.arange(n).reshape((n,) + (1,) * (innov.ndim - 1))
+    parent = np.where(innov, step, picks)
+    parent[0] = 0
+    odd = (parent != step).ravel()
+    width = parent.size // n
+    # flat indices in C order, so one gather serves every replica at once
+    target = (parent * width + np.arange(width).reshape(innov.shape[1:])).ravel()
+    while True:
+        jump = target[target]
+        if np.array_equal(jump, target):
+            return (target // width).reshape(innov.shape), odd.reshape(innov.shape)
+        odd ^= odd[target]
+        target = jump
+
+
+def _picks(u: np.ndarray) -> np.ndarray:
+    """Parent picks ``floor(u[j] * j)`` from pick uniforms (axis 0 is the step)."""
+    step = np.arange(u.shape[0]).reshape((-1,) + (1,) * (u.ndim - 1))
+    return (u * step).astype(np.int64)
+
+
+def _total(law: StepLaw, a: np.ndarray) -> Number:
+    """Sum of an array of step values: exact for lattice laws (``a`` counts
+    lattice steps), correctly rounded (`math.fsum`) for float laws."""
+    if law.exact:
+        return _exact(law.lattice_step * int(a.sum()))
+    return math.fsum(a.tolist())
+
+
+def _running_sum(a: np.ndarray) -> np.ndarray:
+    """Prefix sums: exact for int64 lattice counts; for float64 the plain
+    running sum plus its accumulated rounding errors, each recovered exactly
+    by TwoSum, which is as accurate as Kahan summation."""
+    s = np.cumsum(a)
+    if s.dtype.kind != "f":
+        return s
+    prev = np.concatenate(([0.0], s[:-1]))
+    b = s - prev
+    return s + np.cumsum((prev - (s - b)) + (a - b))
+
+
+@dataclass(eq=False)
 class WalkRun:
     """One realization of the coupled pair of walks.
 
-    All sequences are indexed by step: entry ``m-1`` belongs to step ``m``.
-    ``v[m-1]`` is ``None`` on innovation steps (the pick is never drawn),
-    ``x`` holds one fresh draw per innovation, and ``(tree_id, parity)``
-    is the genealogical forest: founding innovation index and depth parity
-    of every vertex.
+    Per-step arrays are indexed by step: entry ``m-1`` belongs to step ``m``.
+    ``eps`` marks innovations, ``v`` holds each counterbalancing step's pick
+    ``u`` in ``1..m-1`` (0 on innovation steps), ``x`` holds one fresh draw
+    per innovation, and ``(tree_id, parity)`` is the genealogical forest:
+    the founding innovation's index (1-based) and the depth parity (True =
+    odd) of every vertex.  For lattice laws ``x`` and the derived step and
+    sum arrays count lattice steps of ``law.lattice_step`` (int64); for
+    float laws they hold float64 values.  `as_float` turns either into
+    values.
     """
 
     n: int
     p: Fraction
     law: StepLaw
     seed: int | None
-    eps: list[int]
-    v: list[int | None]
-    x: list[Number]
-    i_of_n: list[int]
-    x_check: list[Number]
-    x_hat: list[Number]
-    s_check: list[Number]
-    s_hat: list[Number]
-    tree_id: list[int]
-    parity: list[int]
+    eps: np.ndarray
+    v: np.ndarray
+    x: np.ndarray
+    tree_id: np.ndarray
+    parity: np.ndarray
+
+    @property
+    def x_check(self) -> np.ndarray:
+        """Counterbalanced steps: the tree's draw, negated at odd depth."""
+        base = self.x[self.tree_id - 1]
+        return np.where(self.parity, -base, base)
+
+    @property
+    def s_check(self) -> np.ndarray:
+        """Partial sums of the counterbalanced walk."""
+        return _running_sum(self.x_check)
+
+    @property
+    def s_hat(self) -> np.ndarray:
+        """Partial sums of the reinforced walk."""
+        return _running_sum(self.x[self.tree_id - 1])
 
     @property
     def final_check(self) -> Number:
-        return self.s_check[-1]
+        return _total(self.law, self.x_check)
 
     @property
     def final_hat(self) -> Number:
-        return self.s_hat[-1]
+        return _total(self.law, self.x[self.tree_id - 1])
 
     @property
     def innovations(self) -> int:
-        return self.i_of_n[-1]
+        return len(self.x)
+
+    def as_float(self, a: np.ndarray) -> np.ndarray:
+        """Float64 values of ``a``, one of this run's step or sum arrays
+        (correctly rounded while ``|a| * numerator`` stays below 2**53)."""
+        step = self.law.lattice_step
+        if step is None:
+            return a
+        return a * step.numerator / step.denominator
 
 
-def simulate(n: int, p: Number, law: StepLaw, rng: random.Random, seed: int | None = None) -> WalkRun:
-    """Run the coupled recursion for ``n`` steps.
-
-    Deterministic given the stream state: the same seed reproduces the run
-    bit for bit.  Real-valued partial sums use compensated accumulation so
-    hundred-thousand-step sums stay below 1e-9 relative error.
-    """
+def simulate(n: int, p: Number, law: StepLaw, rng: np.random.Generator, seed: int | None = None) -> WalkRun:
+    """Run the coupled recursion for ``n`` steps, drawing from ``rng`` in the
+    order the module docstring pins; the same stream state reproduces the
+    run bit for bit."""
     if n < 1:
         raise ValueError("horizon must be >= 1")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
-    pf = float(p)
-
-    x1 = law.sample(rng)
-    eps = [1]
-    v: list[int | None] = [None]
-    x: list[Number] = [x1]
-    tree_id = [1]
-    parity = [0]
-    x_check: list[Number] = [x1]
-    x_hat: list[Number] = [x1]
-    exact = law.exact
-    if exact:
-        sc: Number = x1
-        sh: Number = x1
-    else:
-        sc = float(x1)
-        sh = float(x1)
-        cc = ch = 0.0
-    s_check: list[Number] = [sc]
-    s_hat: list[Number] = [sh]
-    i = 1
-    i_of_n = [1]
-
-    rnd = rng.random
-    rrange = rng.randrange
-    for m in range(2, n + 1):
-        if rnd() < pf:
-            eps.append(1)
-            v.append(None)
-            xm = law.sample(rng)
-            x.append(xm)
-            i += 1
-            t = i
-            par = 0
-        else:
-            eps.append(0)
-            u = rrange(1, m)
-            v.append(u)
-            t = tree_id[u - 1]
-            par = parity[u - 1] ^ 1
-        tree_id.append(t)
-        parity.append(par)
-        base = x[t - 1]
-        xc = base if par == 0 else -base
-        x_check.append(xc)
-        x_hat.append(base)
-        i_of_n.append(i)
-        if exact:
-            sc = sc + xc
-            sh = sh + base
-        else:
-            y = xc - cc
-            tot = sc + y
-            cc = (tot - sc) - y
-            sc = tot
-            y = base - ch
-            tot = sh + y
-            ch = (tot - sh) - y
-            sh = tot
-        s_check.append(sc)
-        s_hat.append(sh)
-
-    return WalkRun(n, p, law, seed, eps, v, x, i_of_n, x_check, x_hat, s_check, s_hat, tree_id, parity)
+    eps = rng.random(n) < float(p)
+    eps[0] = True
+    picks = _picks(rng.random(n))
+    root, odd = forest(eps, picks)
+    i_n = int(eps.sum())
+    x = law.sample_units(rng, i_n) if law.exact else law.sample_batch(rng, i_n)
+    tree_id = np.cumsum(eps)[root]
+    v = np.where(eps, 0, picks + 1)
+    return WalkRun(n, p, law, seed, eps, v, x, tree_id, odd)
 
 
 def simulate_seeded(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
-    """`simulate` with a fresh stream built from ``seed``."""
-    return simulate(n, p, law, random.Random(seed), seed=seed)
+    """`simulate` with a fresh ``np.random.default_rng(seed)`` stream."""
+    return simulate(n, p, law, np.random.default_rng(seed), seed=seed)
 
 
 @dataclass(frozen=True)
@@ -308,21 +337,19 @@ class ForestCensus:
     ``delta_per_tree`` holds each tree's even-minus-odd vertex count.
     """
 
-    occurrences: tuple[int, ...]
+    occurrences: np.ndarray
     nu: dict[int, int]
     nu_shape: dict[tuple[int, ...], int]
-    delta_per_tree: tuple[int, ...]
+    delta_per_tree: np.ndarray
     shape_cap: int
 
 
-def _tree_stats(run: WalkRun) -> tuple[list[int], list[int]]:
-    i_n = run.innovations
-    counts = [0] * i_n
-    deltas = [0] * i_n
-    for t, par in zip(run.tree_id, run.parity):
-        counts[t - 1] += 1
-        deltas[t - 1] += 1 - 2 * par
-    return counts, deltas
+def _tree_stats(run: WalkRun) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tree sizes and even-minus-odd deltas, in innovation order."""
+    t = run.tree_id - 1
+    counts = np.bincount(t, minlength=run.innovations)
+    odd = np.bincount(t, weights=run.parity, minlength=run.innovations).astype(np.int64)
+    return counts, counts - 2 * odd
 
 
 def forest_census(run: WalkRun, shape_cap: int = 6) -> ForestCensus:
@@ -330,33 +357,31 @@ def forest_census(run: WalkRun, shape_cap: int = 6) -> ForestCensus:
 
     Satisfies ``sum(k * nu[k]) == n`` and ``sum(nu.values()) == i(n)``.
     Shapes are tracked only up to ``shape_cap`` vertices; larger trees
-    still contribute to ``nu`` and ``delta_per_tree``.
+    still contribute to ``nu`` and ``delta_per_tree``.  A tree's shape is
+    the sequence of its vertices' parents, numbered by arrival inside the
+    tree.
     """
     counts, deltas = _tree_stats(run)
-    nu: dict[int, int] = {}
-    for c in counts:
-        nu[c] = nu.get(c, 0) + 1
-
-    i_n = run.innovations
-    seqs: list[list[int]] = [[] for _ in range(i_n)]
-    sizes = [0] * i_n
-    local = [0] * (run.n + 1)
-    for m, (e, t) in enumerate(zip(run.eps, run.tree_id), start=1):
-        if e:
-            sizes[t - 1] = 1
-            local[m] = 1
-        else:
-            u = run.v[m - 1]
-            sizes[t - 1] += 1
-            local[m] = sizes[t - 1]
-            seqs[t - 1].append(local[u])
+    sizes, freq = np.unique(counts, return_counts=True)
+    nu = dict(zip(sizes.tolist(), freq.tolist()))
     nu_shape: dict[tuple[int, ...], int] = {}
-    for c, seq in zip(counts, seqs):
-        if c <= shape_cap:
-            key = tuple(seq)
-            nu_shape[key] = nu_shape.get(key, 0) + 1
-
-    return ForestCensus(tuple(counts), nu, nu_shape, tuple(deltas), shape_cap)
+    if shape_cap >= 1 and 1 in nu:
+        nu_shape[()] = nu[1]
+    big = [k for k in nu if 2 <= k <= shape_cap]
+    if big:
+        t = run.tree_id - 1
+        order = np.argsort(t, kind="stable")  # vertices grouped by tree, in step order
+        local = np.empty(run.n, dtype=np.int64)
+        local[order] = np.arange(1, run.n + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+        size_of = counts[t[order]]
+        for k in big:
+            # the k-1 non-root vertices of each size-k tree are adjacent in `order`
+            members = order[(size_of == k) & ~run.eps[order]]
+            seqs, seq_freq = np.unique(local[run.v[members] - 1].reshape(-1, k - 1),
+                                       axis=0, return_counts=True)
+            for seq, c in zip(seqs.tolist(), seq_freq.tolist()):
+                nu_shape[tuple(seq)] = c
+    return ForestCensus(counts, nu, nu_shape, deltas, shape_cap)
 
 
 def decompose(run: WalkRun) -> dict[int, Number]:
@@ -367,24 +392,18 @@ def decompose(run: WalkRun) -> dict[int, Number]:
     exact laws, to 1e-9 relative for float laws).
     """
     counts, deltas = _tree_stats(run)
-    groups: dict[int, list[Number]] = {}
-    for j, (k, d) in enumerate(zip(counts, deltas)):
-        groups.setdefault(k, []).append(d * run.x[j])
-    if run.law.exact:
-        return {k: sum(terms) for k, terms in sorted(groups.items())}
-    return {k: math.fsum(terms) for k, terms in sorted(groups.items())}
+    order = np.argsort(counts, kind="stable")
+    sizes, starts = np.unique(counts[order], return_index=True)
+    groups = np.split((deltas * run.x)[order], starts[1:])
+    return {int(k): _total(run.law, terms) for k, terms in zip(sizes, groups)}
 
 
 def representation_residual(run: WalkRun) -> Number:
-    """Gap between the recursion's running sum and the forest form
-    ``sum_j delta(tree_j) * draw_j``: exactly 0 for exact laws, tiny
-    (<= 1e-9 relative) for float laws."""
-    counts, deltas = _tree_stats(run)
-    if run.law.exact:
-        rep = sum(d * xj for d, xj in zip(deltas, run.x))
-        return abs(run.final_check - rep)
-    rep = math.fsum(float(d) * float(xj) for d, xj in zip(deltas, run.x))
-    return abs(float(run.final_check) - rep)
+    """Gap between the per-step sum of the counterbalanced walk and the
+    forest form ``sum_j delta(tree_j) * draw_j``: exactly 0 for exact laws,
+    tiny (<= 1e-9 relative) for float laws."""
+    _, deltas = _tree_stats(run)
+    return abs(run.final_check - _total(run.law, deltas * run.x))
 
 
 @dataclass
@@ -409,6 +428,11 @@ class BatchSummary:
     sum_delta_sq: np.ndarray | None
 
 
+#: Cells per `forest` call in `simulate_batch`: small enough that a block's
+#: pointer arrays stay in cache.
+_BLOCK_CELLS = 1 << 17
+
+
 def simulate_batch(
     n: int,
     p: Number,
@@ -421,11 +445,13 @@ def simulate_batch(
 ) -> BatchSummary:
     """High-throughput final-value runner, vectorized across replicas.
 
-    Semantically each replica follows the same recursion as `simulate`;
-    randomness is consumed column-by-column from per-chunk substreams
-    (seeded by an avalanche mix of ``seed`` and the chunk index), so
-    results are deterministic for fixed arguments and independent of how
-    many replicas run, for the replicas both runs share.
+    Each replica follows the same recursion as `simulate`.  Replicas run in
+    chunks; each chunk draws from its own substream (seeded by an avalanche
+    mix of ``seed`` and the chunk index) three ``(n, rows_in_chunk)``
+    matrices in turn: innovation uniforms, pick uniforms, fresh steps.
+    Results are deterministic for fixed arguments, but a replica's draws
+    depend on how many replicas share its chunk, so changing ``reps``
+    changes every replica's result, the shared ones included.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -443,47 +469,47 @@ def simulate_batch(
     nu_k = np.empty((reps, nu_kmax), dtype=np.int64) if census else None
     sum_dsq = np.empty(reps) if census else None
 
-    # layout is (step, replica) so each step touches contiguous memory;
-    # the chunk budget keeps a chunk's working set well under a gigabyte
+    # layout is (step, replica); the chunk budget keeps a chunk's draws
+    # well under a gigabyte
     chunk_rows = max(1, min(65536, (1 << 24) // n))
+    block = max(1, _BLOCK_CELLS // n)
     for ci, start in enumerate(range(0, reps, chunk_rows)):
         stop = min(start + chunk_rows, reps)
         rows_n = stop - start
         rng = np.random.default_rng(child_seed(seed, ci))
-        # all variate matrices drawn up front in a fixed order: innovation
-        # uniforms, attachment uniforms, fresh steps
         eps_mat = rng.random((n, rows_n)) < pf
         u_att = rng.random((n, rows_n))
-        xmat = law.sample_batch(rng, n * rows_n).reshape(n, rows_n)
-        xval = np.empty((n, rows_n))
-        parity = np.zeros((n, rows_n), dtype=np.int8)
-        root = np.zeros((n, rows_n), dtype=np.int32) if census else None
-        xval[0] = xmat[0]
-        rows = np.arange(rows_n)
-        for j in range(1, n):
-            eps = eps_mat[j]
-            u = (u_att[j] * j).astype(np.int64)
-            parity[j] = np.where(eps, 0, parity[u, rows] ^ 1)
-            xval[j] = np.where(eps, xmat[j], -xval[u, rows])
+        xval = law.sample_batch(rng, n * rows_n).reshape(n, rows_n)
+        i_n[start:stop] = 1 + eps_mat[1:].sum(axis=0, dtype=np.int64)
+        odd = np.empty((n, rows_n), dtype=bool)
+        for b0 in range(0, rows_n, block):
+            cols = slice(b0, min(b0 + block, rows_n))
+            root, odd[:, cols] = forest(eps_mat[:, cols], _picks(u_att[:, cols]))
+            # every step takes its root's fresh draw (the reinforced step)
+            xval[:, cols] = np.take_along_axis(xval[:, cols], root, axis=0)
             if census:
-                root[j] = np.where(eps, j, root[u, rows])
-        icount = 1 + eps_mat[1:].sum(axis=0, dtype=np.int64)
-        del eps_mat, u_att, xmat
+                rows = slice(start + cols.start, start + cols.stop)
+                nu1[rows], nu_k[rows], sum_dsq[rows] = _census_block(root, odd[:, cols], nu_kmax)
+        del eps_mat, u_att
+        # the summation order (along the step axis of the (n, rows) layout)
+        # fixes the bits of the float totals; keep it
+        s_hat[start:stop] = xval.sum(axis=0)
+        np.negative(xval, out=xval, where=odd)
         s_check[start:stop] = xval.sum(axis=0)
-        sign = 1.0 - 2.0 * parity
-        s_hat[start:stop] = (xval * sign).sum(axis=0)
-        i_n[start:stop] = icount
-        if census:
-            root_t = np.ascontiguousarray(root.T)
-            sign_t = np.ascontiguousarray(sign.T)
-            for r in range(rows_n):
-                c = np.bincount(root_t[r], minlength=n)
-                mask = c > 0
-                occ = c[mask]
-                oc = np.bincount(occ, minlength=nu_kmax + 1)
-                nu1[start + r] = oc[1]
-                nu_k[start + r, :] = oc[1 : nu_kmax + 1]
-                d = np.bincount(root_t[r], weights=sign_t[r], minlength=n)
-                sum_dsq[start + r] = float((d[mask] ** 2).sum())
 
     return BatchSummary(n, p, law, seed, reps, s_check, s_hat, i_n, nu1, nu_k, sum_dsq)
+
+
+def _census_block(root: np.ndarray, odd: np.ndarray, nu_kmax: int):
+    """Singleton count, trees per size ``1..nu_kmax`` and sum of squared
+    deltas of each replica whose forest is a column of ``(root, odd)``."""
+    n, width = root.shape
+    key = (root + n * np.arange(width)).ravel()
+    counts = np.bincount(key, minlength=n * width).reshape(width, n)
+    odds = np.bincount(key, weights=odd.ravel(), minlength=n * width).reshape(width, n)
+    deltas = counts - 2 * odds.astype(np.int64)
+    # trees per size, larger sizes pooled in the last column
+    cap = max(nu_kmax, 1) + 1
+    sizes = np.minimum(counts, cap) + (cap + 1) * np.arange(width)[:, None]
+    hist = np.bincount(sizes.ravel(), minlength=(cap + 1) * width).reshape(width, cap + 1)
+    return hist[:, 1], hist[:, 1 : nu_kmax + 1], (deltas * deltas).sum(axis=1)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -105,18 +107,18 @@ class TestSimulateCommand:
         steps = [int(row.split(",")[1]) for row in traj]
         assert steps == [10, 20, 30, 10, 20, 30]
 
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
+    def test_replica_prefix_is_stable(self, tmp_path):
         argv_base = [
-            "simulate", "--n", "25", "--p", "1/3", "--mu", "gauss:0,1",
-            "--reps", "60", "--seed", "9",
+            "simulate", "--n", "25", "--p", "1/3", "--mu", "gauss:0,1", "--seed", "9",
         ]
-        out_one = tmp_path / "one.csv"
-        out_two = tmp_path / "two.csv"
-        monkeypatch.setenv("COUNTERWALK_THREADS", "1")
-        assert main(argv_base + ["--out", str(out_one)]) == 0
-        monkeypatch.setenv("COUNTERWALK_THREADS", "2")
-        assert main(argv_base + ["--out", str(out_two)]) == 0
-        assert out_one.read_bytes() == out_two.read_bytes()
+        out_short = tmp_path / "short.csv"
+        out_long = tmp_path / "long.csv"
+        assert main(argv_base + ["--reps", "10", "--out", str(out_short)]) == 0
+        assert main(argv_base + ["--reps", "60", "--out", str(out_long)]) == 0
+        short_rows = out_short.read_bytes().splitlines()[2:]
+        long_rows = out_long.read_bytes().splitlines()[2:]
+        assert len(short_rows) == 10 and len(long_rows) == 60
+        assert long_rows[:10] == short_rows
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -223,3 +225,16 @@ class TestExperimentConfig:
         _, out_a, _ = run_cli(capsys, "exact", "walk-oracle", "--n", "2", "--p", "0.5", "--mu", "dirac:1")
         _, out_b, _ = run_cli(capsys, "exact", "walk-oracle", "--n", "2", "--p", "1/2", "--mu", "dirac:1")
         assert out_a == out_b
+
+
+def test_cli_import_loads_neither_scipy_nor_a_process_pool():
+    # start-up cost of every command: scipy is imported only by the checks
+    # that need it, and replicas run in-process
+    import counterwalk
+
+    src = os.path.dirname(os.path.dirname(counterwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, counterwalk.cli; print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -7,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counterwalk.replication import child_seed
 from counterwalk.verify import brute_force_walk_pmf, tv_distance
 from counterwalk.walk_engine import (
     StepLaw,
     decompose,
+    forest,
     forest_census,
     parse_mu_spec,
     representation_residual,
@@ -26,6 +27,25 @@ ALL_LAWS = (
     StepLaw.gaussian(0, 1),
     StepLaw.pareto_symmetric(Fraction(3, 2)),
 )
+
+
+def reference_forest(innov, picks):
+    """The forest by its sequential definition: step 0 and innovations are
+    roots; any other step joins its pick's tree one level deeper."""
+    root = np.arange(len(innov))
+    odd = np.zeros(len(innov), dtype=bool)
+    for j in range(1, len(innov)):
+        if not innov[j]:
+            root[j] = root[picks[j]]
+            odd[j] = not odd[picks[j]]
+    return root, odd
+
+
+def random_forest_input(n, p, rng, width=None):
+    shape = (n,) if width is None else (n, width)
+    innov = rng.random(shape) < p
+    steps = np.arange(n).reshape((n,) + (1,) * (len(shape) - 1))
+    return innov, (rng.random(shape) * steps).astype(np.int64)
 
 
 class TestStepLaw:
@@ -64,15 +84,42 @@ class TestStepLaw:
 
     def test_pareto_magnitudes_at_least_scale(self):
         law = StepLaw.pareto_symmetric(Fraction(3, 2))
-        rng = random.Random(0)
-        assert all(abs(law.sample(rng)) >= 1.0 for _ in range(200))
         batch = law.sample_batch(np.random.default_rng(0), 1000)
         assert np.all(np.abs(batch) >= 1.0)
 
 
+class TestForest:
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+    def test_matches_reference_loop(self, p):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3, 17, 1000):
+            innov, picks = random_forest_input(n, p, rng)
+            root, odd = forest(innov, picks)
+            ref_root, ref_odd = reference_forest(innov, picks)
+            assert root.tolist() == ref_root.tolist()
+            assert odd.tolist() == ref_odd.tolist()
+
+    @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+    def test_replica_axis_matches_reference_loop(self, p):
+        rng = np.random.default_rng(32)
+        for n, width in ((1, 4), (5, 1), (300, 7)):
+            innov, picks = random_forest_input(n, p, rng, width)
+            root, odd = forest(innov, picks)
+            assert root.shape == odd.shape == (n, width)
+            for r in range(width):
+                ref_root, ref_odd = reference_forest(innov[:, r], picks[:, r])
+                assert root[:, r].tolist() == ref_root.tolist()
+                assert odd[:, r].tolist() == ref_odd.tolist()
+
+    def test_first_step_is_a_root_whatever_its_bit(self):
+        root, odd = forest(np.zeros(4, dtype=bool), np.zeros(4, dtype=np.int64))
+        assert root.tolist() == [0, 0, 0, 0]
+        assert odd.tolist() == [False, True, True, True]
+
+
 class TestSimulate:
     def test_rejects_bad_arguments(self):
-        rng = random.Random(0)
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
             simulate(0, Fraction(1, 2), StepLaw.dirac(1), rng)
         with pytest.raises(ValueError):
@@ -81,28 +128,31 @@ class TestSimulate:
     def test_first_step_is_always_an_innovation(self):
         for seed in range(5):
             run = simulate_seeded(20, Fraction(0), StepLaw.rademacher(), seed)
-            assert run.eps[0] == 1
-            assert run.i_of_n[0] == 1
+            assert run.eps[0]
+            assert run.tree_id[0] == 1 and not run.parity[0]
 
     def test_innovation_count_tracks_bits(self):
         run = simulate_seeded(200, Fraction(1, 3), StepLaw.dirac(1), 3)
         running = 0
-        for bit, i_n in zip(run.eps, run.i_of_n):
+        for bit, tree in zip(run.eps, run.tree_id):
             running += bit
-            assert i_n == running
-        assert len(run.x) == run.innovations
+            assert tree <= running
+            if bit:
+                assert tree == running
+        assert len(run.x) == run.innovations == running
 
     def test_pick_only_drawn_when_counterbalancing(self):
         run = simulate_seeded(100, Fraction(1, 2), StepLaw.dirac(1), 4)
         for m in range(2, 101):
             if run.eps[m - 1]:
-                assert run.v[m - 1] is None
+                assert run.v[m - 1] == 0
             else:
                 assert 1 <= run.v[m - 1] <= m - 1
 
     def test_pure_innovation_is_plain_random_walk(self):
         run = simulate_seeded(100, Fraction(1), StepLaw.rademacher(), 7)
-        assert run.x_check == run.x == run.x_hat
+        assert np.array_equal(run.x_check, run.x)
+        assert np.array_equal(run.x[run.tree_id - 1], run.x)
         assert run.final_check == sum(run.x)
         parts = decompose(run)
         assert set(parts) == {1}
@@ -121,7 +171,7 @@ class TestSimulate:
     def test_coupling_and_sign_rule(self):
         for law in ALL_LAWS:
             run = simulate_seeded(400, Fraction(1, 3), law, 21)
-            for xc, xh, par in zip(run.x_check, run.x_hat, run.parity):
+            for xc, xh, par in zip(run.x_check, run.x[run.tree_id - 1], run.parity):
                 assert abs(xc) == abs(xh)
                 if par == 0:
                     assert xc == xh
@@ -136,20 +186,45 @@ class TestSimulate:
                 parity[m] = 0
             else:
                 parity[m] = parity[run.v[m - 1]] ^ 1
-        assert run.parity == [parity[m] for m in range(1, run.n + 1)]
+        assert run.parity.tolist() == [parity[m] for m in range(1, run.n + 1)]
+        root, odd = reference_forest(run.eps, run.v - 1)
+        assert np.array_equal(run.tree_id, np.cumsum(run.eps)[root])
+        assert np.array_equal(run.parity, odd)
 
     def test_reinforced_walk_of_unit_masses_is_deterministic(self):
         # constant step draws make the reinforced sum exactly the step index
         run = simulate_seeded(250, Fraction(1, 2), StepLaw.dirac(1), 8)
-        assert run.s_hat == list(range(1, 251))
+        assert run.s_hat.tolist() == list(range(1, 251))
 
     def test_determinism(self):
         a = simulate_seeded(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 77)
         b = simulate_seeded(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 77)
-        assert a.s_check == b.s_check
-        assert a.eps == b.eps and a.v == b.v and a.x == b.x
+        assert np.array_equal(a.s_check, b.s_check)
+        assert np.array_equal(a.eps, b.eps) and np.array_equal(a.v, b.v) and np.array_equal(a.x, b.x)
         c = simulate_seeded(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 78)
-        assert c.s_check != a.s_check
+        assert not np.array_equal(c.s_check, a.s_check)
+
+    def test_float_partial_sums_are_compensated(self):
+        # within one ulp of the correctly rounded prefix sums, which a plain
+        # float64 running sum misses by many ulps at this length
+        run = simulate_seeded(20_000, Fraction(1, 2), StepLaw.gaussian(0, 1), 12)
+        walks = ((run.s_check, run.x_check), (run.s_hat, run.x[run.tree_id - 1]))
+        for sums, steps in walks:
+            for k in (1, 777, 20_000):
+                exact = math.fsum(steps[:k].tolist())
+                assert abs(sums[k - 1] - exact) <= np.spacing(abs(exact))
+        assert abs(run.s_check[-1] - run.final_check) <= np.spacing(abs(run.final_check))
+
+    def test_lattice_laws_stay_exact(self):
+        law = StepLaw.dirac(Fraction(1, 3))
+        run = simulate_seeded(500, Fraction(1, 2), law, 6)
+        steps = [Fraction(1, 3) * (-1 if par else 1) for par in run.parity]
+        assert run.final_check == sum(steps)
+        assert isinstance(run.final_check, (int, Fraction))
+        assert run.final_hat == Fraction(500, 3)
+        assert run.as_float(run.s_check).tolist() == [
+            float(sum(steps[:m])) for m in range(1, 501)
+        ]
 
 
 class TestForestCensus:
@@ -276,6 +351,40 @@ class TestBatch:
         batch = simulate_batch(40, Fraction(1, 2), StepLaw.dirac(1), 500, 13)
         assert batch.sum_delta_sq is not None
         assert np.all(batch.sum_delta_sq >= 1.0)
+
+    @pytest.mark.parametrize("n,p,law,reps", [
+        (1, Fraction(1, 2), StepLaw.rademacher(), 3),
+        (40, Fraction(1, 2), StepLaw.rademacher(), 200),
+        (60, Fraction(0), StepLaw.dirac(1), 30),
+        (60, Fraction(1), StepLaw.uniform_symmetric(), 30),
+        (200, Fraction(1, 4), StepLaw.gaussian(0, 1), 50),
+        (150, Fraction(1, 2), StepLaw.pareto_symmetric(Fraction(3, 2)), 1),
+    ])
+    def test_bit_identical_to_reference_loop_on_the_chunk_draws(self, n, p, law, reps):
+        # the chunk draws and the float summation order of every earlier
+        # release: a (n, rows) matrix summed along the step axis
+        seed, kmax = 2024, 4
+        rng = np.random.default_rng(child_seed(seed, 0))
+        innov = rng.random((n, reps)) < float(p)
+        u = rng.random((n, reps))
+        draws = law.sample_batch(rng, n * reps).reshape(n, reps)
+        hat = np.empty((n, reps))
+        odd = np.empty((n, reps), dtype=bool)
+        sizes = np.empty((reps, kmax), dtype=np.int64)
+        dsq = np.empty(reps)
+        for r in range(reps):
+            root, odd[:, r] = reference_forest(innov[:, r], (u[:, r] * np.arange(n)).astype(np.int64))
+            hat[:, r] = draws[root, r]
+            counts = np.bincount(root, minlength=n)
+            sizes[r] = [(counts == k).sum() for k in range(1, kmax + 1)]
+            dsq[r] = (np.bincount(root, weights=1 - 2 * odd[:, r].astype(int), minlength=n) ** 2).sum()
+        batch = simulate_batch(n, p, law, reps, seed, nu_kmax=kmax)
+        assert batch.s_hat.tobytes() == hat.sum(axis=0).tobytes()
+        assert batch.s_check.tobytes() == np.where(odd, -hat, hat).sum(axis=0).tobytes()
+        assert np.array_equal(batch.i_n, 1 + innov[1:].sum(axis=0))
+        assert np.array_equal(batch.nu_k, sizes)
+        assert np.array_equal(batch.nu1, sizes[:, 0])
+        assert batch.sum_delta_sq.tobytes() == dsq.tobytes()
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
