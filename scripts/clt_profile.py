@@ -15,9 +15,9 @@ import argparse
 import math
 import sys
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from counterwalk.asymptotics import clt_variance, velocity
 from counterwalk.walk_engine import parse_mu_spec, simulate_batch
@@ -51,10 +51,10 @@ def main() -> int:
     lines.append(
         f"# sample_variance={float(y.var(ddof=1))!r} target_variance={target_var!r} reps={args.reps} n={args.n}"
     )
-    sd = math.sqrt(target_var)
+    gauss = NormalDist(0.0, math.sqrt(target_var))
     for q in QUANTILES:
         emp = float(np.quantile(y, q))
-        lines.append(f"{q},{emp!r},{(sd * float(ndtri(q)))!r}")
+        lines.append(f"{q},{emp!r},{gauss.inv_cdf(q)!r}")
 
     text = "\n".join(lines) + "\n"
     if args.out:

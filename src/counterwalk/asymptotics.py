@@ -161,28 +161,20 @@ def tree_freq_limit(tau: Tree, p: Number) -> Fraction:
 
 @dataclass(frozen=True)
 class StableSpec:
-    """A stable limit law via its characteristic exponent.
-
-    ``phi(theta) = |theta|**alpha * phi_plus`` for positive ``theta`` (and
-    ``phi_minus`` on the negative side; defaults to the symmetric case).
-    ``a_n = n**(1/alpha)`` is the matching scaling sequence.
+    """A symmetric stable limit law via its characteristic exponent
+    ``phi(theta) = |theta|**alpha * phi_plus``; ``a_n = n**(1/alpha)`` is
+    the matching scaling sequence.
     """
 
     alpha: float
     phi_plus: float
-    phi_minus: float | None = None
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 2:
             raise ValueError("alpha must lie in (0, 2)")
 
     def phi(self, theta: float) -> float:
-        if theta == 0:
-            return 0.0
-        scale = self.phi_plus if theta > 0 else (
-            self.phi_minus if self.phi_minus is not None else self.phi_plus
-        )
-        return abs(theta) ** self.alpha * scale
+        return abs(theta) ** self.alpha * self.phi_plus
 
     def a_n(self, n: int) -> float:
         return n ** (1.0 / self.alpha)

@@ -32,11 +32,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
+import numpy as np
+
 from . import __version__
 from . import asymptotics as asym
 from .acceptance import DEFAULT_SEED, run_all
 from .eulerian import ExactPmf, delta_pmf, eulerian_row, odd_count_pmf
-from .recursive_tree import parity_profile, sample_rrt
+from .recursive_tree import sample_odd_counts
 from .replication import replica_seeds, run_replicas
 from .verify import BRUTE_FORCE_MAX_N, brute_force_walk_pmf
 from .walk_engine import StepLaw, forest_census, parse_mu_spec, simulate_seeded
@@ -218,14 +220,12 @@ def _cmd_sample(args) -> int:
         raise CliError("--n must be >= 1")
     if args.reps < 1:
         raise CliError("--reps must be >= 1")
-    import random
-
     config = _config("sample-rrt", n=args.n, reps=args.reps, seed=args.seed)
     lines = ["rep,even,odd,delta", _comment_line(config, args.seed)]
     for rep, seed in enumerate(replica_seeds(args.seed, args.reps)):
-        tree = sample_rrt(args.n, random.Random(seed))
-        even, odd, delta = parity_profile(tree)
-        lines.append(f"{rep},{even},{odd},{delta}")
+        odd = int(sample_odd_counts(args.n, 1, np.random.default_rng(seed))[0])
+        even = args.n - odd
+        lines.append(f"{rep},{even},{odd},{even - odd}")
     _emit(lines, args.out)
     return 0
 

@@ -75,10 +75,6 @@ class EulerianRow:
         if sum(self.values) != math.factorial(self.n):
             raise ValueError(f"row {self.n} does not sum to {self.n}!")
 
-    @property
-    def row_sum(self) -> int:
-        return sum(self.values)
-
 
 def eulerian_row(n: int) -> EulerianRow:
     """Full row ``n`` of the triangle (row 0 is the conventional entry)."""

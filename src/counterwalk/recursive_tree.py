@@ -4,16 +4,18 @@ A tree on vertices ``1..k`` is stored as the parent sequence
 ``(par(2), ..., par(k))`` with ``par(j) < j``; vertex 1 is the root.  That
 sequence *is* the canonical identity of an increasing tree, so shape
 statistics are plain dictionary lookups and no isomorphism test ever runs.
+Random trees are sampled as `walk_engine.forest` forests without
+innovations, on numpy generators.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
+
+from .walk_engine import _BLOCK_CELLS, _picks, forest
 
 #: Exhaustive enumeration is refused above this size ((k-1)! trees).
 ENUMERATION_CAP = 9
@@ -35,14 +37,6 @@ class Tree:
         return len(self.parents) + 1
 
 
-def sample_rrt(n: int, rng: random.Random) -> Tree:
-    """Uniform attachment tree: vertex ``j`` picks its parent uniformly
-    from ``1..j-1``, independently across ``j``."""
-    if n < 1:
-        raise ValueError("tree size must be >= 1")
-    return Tree(tuple(rng.randrange(1, j) for j in range(2, n + 1)))
-
-
 def parity_profile(tree: Tree) -> tuple[int, int, int]:
     """Census ``(even, odd, delta)`` of depth parities, ``delta = even - odd``.
 
@@ -56,19 +50,6 @@ def parity_profile(tree: Tree) -> tuple[int, int, int]:
     odd = sum(parity[1:])
     even = k - odd
     return even, odd, even - odd
-
-
-def tanny_sample(n: int, rng: random.Random) -> int:
-    """Ceiling of a sum of ``n`` independent uniforms on [0, 1]; 0 for n=0.
-
-    Equal in law to the odd-vertex count of a size-``n+1`` random
-    recursive tree, which makes it a fast sampler for parity statistics.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 0
-    return math.ceil(sum(rng.random() for _ in range(n)))
 
 
 def enumerate_increasing_trees(k: int, cap: int = ENUMERATION_CAP) -> list[Tree]:
@@ -86,23 +67,32 @@ def enumerate_increasing_trees(k: int, cap: int = ENUMERATION_CAP) -> list[Tree]
 def sample_odd_counts(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
     """Odd-vertex counts of ``reps`` independent uniform attachment trees.
 
-    Vectorized across replicas; the loop over vertices is inherent (each
-    parent pick needs the parity of an earlier vertex).
+    Each tree is a `forest` without innovations.  Replicas run in blocks of
+    ``max(1, _BLOCK_CELLS // n)``; each block draws its ``(n, width)`` pick
+    uniforms from ``rng`` in turn (vertex ``j``, 0-based, hangs below
+    ``floor(uniform * j)``).
     """
     if n < 1:
         raise ValueError("tree size must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    parity = np.zeros((reps, n), dtype=np.int8)
-    rows = np.arange(reps)
-    for j in range(1, n):
-        parents = rng.integers(0, j, size=reps)
-        parity[:, j] = parity[rows, parents] ^ 1
-    return parity.sum(axis=1, dtype=np.int64)
+    out = np.empty(reps, dtype=np.int64)
+    width = max(1, _BLOCK_CELLS // n)
+    for start in range(0, reps, width):
+        w = min(width, reps - start)
+        u = rng.random((n, w))
+        _, odd = forest(np.zeros((n, w), dtype=bool), _picks(u))
+        out[start : start + w] = odd.sum(axis=0)
+    return out
 
 
 def tanny_sample_batch(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized version of `tanny_sample`."""
+    """Ceiling of a sum of ``n`` independent uniforms on [0, 1] (0 for
+    n = 0), once per replica.
+
+    Equal in law to the odd-vertex count of a size-``n+1`` random
+    recursive tree, which makes it a fast sampler for parity statistics.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
     if reps < 1:

@@ -7,7 +7,8 @@ forest: every innovation roots a random recursive tree, and a step's
 counterbalanced value is its tree's draw times ``(-1)**depth``, while the
 reinforced walk takes the draw itself.  `forest` recovers each step's root
 and depth parity from the picks by pointer jumping; every simulator and
-every reduction in this module runs on its output.
+every reduction in this module, and the tree sampler of `recursive_tree`,
+runs on its output.
 
 `simulate` consumes its generator in a fixed order: ``n`` innovation
 uniforms (step ``j``, 0-based, is an innovation when its uniform is below
@@ -27,17 +28,12 @@ from typing import Union
 
 import numpy as np
 
+from .eulerian import _as_exact
 from .replication import child_seed
 
 Number = Union[int, float, Fraction]
 
 _KINDS = ("rademacher", "dirac", "uniform", "gauss", "pareto")
-
-
-def _exact(x: Number) -> Number:
-    if isinstance(x, Fraction) and x.denominator == 1:
-        return int(x)
-    return x
 
 
 @dataclass(frozen=True)
@@ -67,7 +63,7 @@ class StepLaw:
     @classmethod
     def dirac(cls, c: Number) -> "StepLaw":
         c = Fraction(c)
-        return cls("dirac", (c,), c, c * c, (_exact(c),), (Fraction(1),), True)
+        return cls("dirac", (c,), c, c * c, (_as_exact(c),), (Fraction(1),), True)
 
     @classmethod
     def uniform_symmetric(cls) -> "StepLaw":
@@ -128,10 +124,12 @@ class StepLaw:
         if self.kind == "gauss":
             mean, var = self.params
             return rng.normal(float(mean), math.sqrt(float(var)), size=size)
-        alpha = float(self.params[0])
-        mag = (1.0 - rng.random(size)) ** (-1.0 / alpha)
-        sign = 2 * rng.integers(0, 2, size=size) - 1
-        return mag * sign
+        # in place: a full-scale batch holds millions of draws
+        x = rng.random(size)
+        np.subtract(1.0, x, out=x)
+        x **= -1.0 / float(self.params[0])
+        np.negative(x, out=x, where=rng.integers(0, 2, size=size) == 0)
+        return x
 
 
 def parse_mu_spec(spec: str) -> StepLaw:
@@ -181,8 +179,6 @@ def _parse_number(text: str, message: str) -> Fraction:
         raise ValueError(message) from None
 
 
-
-
 def forest(innov: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Root and depth parity of every vertex of a genealogical forest.
 
@@ -224,7 +220,7 @@ def _total(law: StepLaw, a: np.ndarray) -> Number:
     """Sum of an array of step values: exact for lattice laws (``a`` counts
     lattice steps), correctly rounded (`math.fsum`) for float laws."""
     if law.exact:
-        return _exact(law.lattice_step * int(a.sum()))
+        return _as_exact(law.lattice_step * int(a.sum()))
     return math.fsum(a.tolist())
 
 
@@ -408,12 +404,9 @@ def representation_residual(run: WalkRun) -> Number:
 
 @dataclass
 class BatchSummary:
-    """Final-value statistics of many independent replicas.
-
-    Census fields are ``None`` when the census was skipped; ``nu_k`` column
-    ``k-1`` counts trees of size ``k`` (sizes above ``nu_kmax`` are only
-    reflected in ``i_n``).
-    """
+    """Final values of many independent replicas: the counterbalanced sums
+    ``s_check`` and the singleton-tree counts ``nu1`` (``None`` when the
+    census was skipped)."""
 
     n: int
     p: Fraction
@@ -421,15 +414,12 @@ class BatchSummary:
     seed: int
     reps: int
     s_check: np.ndarray
-    s_hat: np.ndarray
-    i_n: np.ndarray
     nu1: np.ndarray | None
-    nu_k: np.ndarray | None
-    sum_delta_sq: np.ndarray | None
 
 
-#: Cells per `forest` call in `simulate_batch`: small enough that a block's
-#: pointer arrays stay in cache.
+#: Cells per `forest` call in `simulate_batch` and
+#: `recursive_tree.sample_odd_counts`: small enough that a block's pointer
+#: arrays stay in cache.
 _BLOCK_CELLS = 1 << 17
 
 
@@ -441,7 +431,6 @@ def simulate_batch(
     seed: int,
     *,
     census: bool = True,
-    nu_kmax: int = 8,
 ) -> BatchSummary:
     """High-throughput final-value runner, vectorized across replicas.
 
@@ -463,11 +452,7 @@ def simulate_batch(
     pf = float(p)
 
     s_check = np.empty(reps)
-    s_hat = np.empty(reps)
-    i_n = np.empty(reps, dtype=np.int64)
     nu1 = np.empty(reps, dtype=np.int64) if census else None
-    nu_k = np.empty((reps, nu_kmax), dtype=np.int64) if census else None
-    sum_dsq = np.empty(reps) if census else None
 
     # layout is (step, replica); the chunk budget keeps a chunk's draws
     # well under a gigabyte
@@ -480,36 +465,21 @@ def simulate_batch(
         eps_mat = rng.random((n, rows_n)) < pf
         u_att = rng.random((n, rows_n))
         xval = law.sample_batch(rng, n * rows_n).reshape(n, rows_n)
-        i_n[start:stop] = 1 + eps_mat[1:].sum(axis=0, dtype=np.int64)
-        odd = np.empty((n, rows_n), dtype=bool)
         for b0 in range(0, rows_n, block):
             cols = slice(b0, min(b0 + block, rows_n))
-            root, odd[:, cols] = forest(eps_mat[:, cols], _picks(u_att[:, cols]))
-            # every step takes its root's fresh draw (the reinforced step)
-            xval[:, cols] = np.take_along_axis(xval[:, cols], root, axis=0)
+            root, odd = forest(eps_mat[:, cols], _picks(u_att[:, cols]))
+            # every step takes its root's fresh draw, negated at odd depth
+            x = np.take_along_axis(xval[:, cols], root, axis=0)
+            np.negative(x, out=x, where=odd)
+            xval[:, cols] = x
             if census:
-                rows = slice(start + cols.start, start + cols.stop)
-                nu1[rows], nu_k[rows], sum_dsq[rows] = _census_block(root, odd[:, cols], nu_kmax)
+                # tree sizes: bincount of the root keys, one range per replica
+                key = root + n * np.arange(root.shape[1])
+                sizes = np.bincount(key.ravel(), minlength=key.size).reshape(-1, n)
+                nu1[start + cols.start : start + cols.stop] = (sizes == 1).sum(axis=1)
         del eps_mat, u_att
         # the summation order (along the step axis of the (n, rows) layout)
         # fixes the bits of the float totals; keep it
-        s_hat[start:stop] = xval.sum(axis=0)
-        np.negative(xval, out=xval, where=odd)
         s_check[start:stop] = xval.sum(axis=0)
 
-    return BatchSummary(n, p, law, seed, reps, s_check, s_hat, i_n, nu1, nu_k, sum_dsq)
-
-
-def _census_block(root: np.ndarray, odd: np.ndarray, nu_kmax: int):
-    """Singleton count, trees per size ``1..nu_kmax`` and sum of squared
-    deltas of each replica whose forest is a column of ``(root, odd)``."""
-    n, width = root.shape
-    key = (root + n * np.arange(width)).ravel()
-    counts = np.bincount(key, minlength=n * width).reshape(width, n)
-    odds = np.bincount(key, weights=odd.ravel(), minlength=n * width).reshape(width, n)
-    deltas = counts - 2 * odds.astype(np.int64)
-    # trees per size, larger sizes pooled in the last column
-    cap = max(nu_kmax, 1) + 1
-    sizes = np.minimum(counts, cap) + (cap + 1) * np.arange(width)[:, None]
-    hist = np.bincount(sizes.ravel(), minlength=(cap + 1) * width).reshape(width, cap + 1)
-    return hist[:, 1], hist[:, 1 : nu_kmax + 1], (deltas * deltas).sum(axis=1)
+    return BatchSummary(n, p, law, seed, reps, s_check, nu1)

@@ -241,12 +241,6 @@ class TestStableExponent:
         minus, _ = stable_check_exponent(-1.3, HALF, spec, kmax=40)
         assert plus == pytest.approx(minus)
 
-    def test_asymmetric_real_exponent_breaks_evenness(self):
-        spec = StableSpec(1.5, 1.0, 2.0)
-        plus, _ = stable_check_exponent(1.3, HALF, spec, kmax=40)
-        minus, _ = stable_check_exponent(-1.3, HALF, spec, kmax=40)
-        assert plus != pytest.approx(minus)
-
     def test_rejects_bad_arguments(self):
         spec = StableSpec(1.5, 1.0)
         with pytest.raises(ValueError):

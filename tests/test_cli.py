@@ -76,6 +76,12 @@ class TestSampleCommand:
             assert int(fields[1]) + int(fields[2]) == 10
             assert int(fields[1]) - int(fields[2]) == int(fields[3])
 
+    def test_replica_prefix_is_stable(self, capsys):
+        _, five, _ = run_cli(capsys, "sample", "rrt", "--n", "50", "--reps", "5", "--seed", "8")
+        _, twenty, _ = run_cli(capsys, "sample", "rrt", "--n", "50", "--reps", "20", "--seed", "8")
+        assert len(twenty.splitlines()) == 2 + 20
+        assert twenty.splitlines()[2:7] == five.splitlines()[2:]
+
 
 class TestSimulateCommand:
     def test_writes_idempotent_file(self, tmp_path, capsys):
@@ -238,3 +244,17 @@ def test_cli_import_loads_neither_scipy_nor_a_process_pool():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                          timeout=60, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_ks_check_runs_without_scipy():
+    # numpy is the only runtime dependency: the Gaussian cdf comes from math.erfc
+    import counterwalk
+
+    src = os.path.dirname(os.path.dirname(counterwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, numpy as np; from counterwalk.verify import ks_normal; "
+             "r = ks_normal(np.random.default_rng(0).normal(size=500), 0.0, 1.0); "
+             "print(r.passed, 'scipy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "True False"

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +12,9 @@ from counterwalk.recursive_tree import (
     enumerate_increasing_trees,
     parity_profile,
     sample_odd_counts,
-    sample_rrt,
-    tanny_sample,
     tanny_sample_batch,
 )
+from counterwalk.walk_engine import _BLOCK_CELLS
 from counterwalk.verify import tv_distance
 
 
@@ -52,9 +50,8 @@ class TestParityProfile:
     @given(st.data(), st.integers(min_value=1, max_value=200))
     @settings(max_examples=50)
     def test_census_invariants(self, data, n):
-        seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
-        tree = sample_rrt(n, random.Random(seed))
-        even, odd, delta = parity_profile(tree)
+        parents = tuple(data.draw(st.integers(min_value=1, max_value=j - 1)) for j in range(2, n + 1))
+        even, odd, delta = parity_profile(Tree(parents))
         assert even + odd == n
         assert delta == even - odd
         assert abs(delta) <= n
@@ -88,43 +85,42 @@ class TestEnumeration:
 
 class TestSampling:
     def test_trivial_sizes(self):
-        rng = random.Random(0)
-        assert sample_rrt(1, rng).parents == ()
-        assert sample_rrt(2, rng).parents == (1,)
+        rng = np.random.default_rng(0)
+        assert np.all(sample_odd_counts(1, 20, rng) == 0)
+        assert np.all(sample_odd_counts(2, 20, rng) == 1)
         with pytest.raises(ValueError):
-            sample_rrt(0, rng)
+            sample_odd_counts(0, 1, rng)
 
     def test_third_vertex_attachment_frequency(self):
-        rng = random.Random(1234)
+        # vertex 3 hangs below the root (two odd vertices) or below vertex 2 (one)
         reps = 20_000
-        hits = sum(sample_rrt(3, rng).parents[1] == 1 for _ in range(reps))
+        hits = int((sample_odd_counts(3, reps, np.random.default_rng(1234)) == 2).sum())
         sd = math.sqrt(reps * 0.25)
         assert abs(hits - reps / 2) <= 3 * sd
 
     def test_empirical_parity_law(self):
-        rng = random.Random(99)
         reps = 20_000
-        deltas = [parity_profile(sample_rrt(8, rng))[2] for _ in range(reps)]
+        deltas = 8 - 2 * sample_odd_counts(8, reps, np.random.default_rng(99))
         exact = odd_count_pmf(8).pushforward(lambda ell: 8 - 2 * ell)
         assert tv_distance(_hist(deltas), exact) <= 0.02
 
 
 class TestTanny:
     def test_trivial_values(self):
-        rng = random.Random(5)
-        assert tanny_sample(0, rng) == 0
-        for _ in range(20):
-            assert tanny_sample(1, rng) == 1
+        rng = np.random.default_rng(5)
+        assert tanny_sample_batch(0, 1, rng)[0] == 0
+        assert np.all(tanny_sample_batch(1, 20, rng) == 1)
 
     def test_range(self):
-        rng = random.Random(6)
-        for _ in range(200):
-            assert 1 <= tanny_sample(9, rng) <= 9
+        draws = tanny_sample_batch(9, 200, np.random.default_rng(6))
+        assert np.all((1 <= draws) & (draws <= 9))
 
     def test_matches_odd_count_law(self):
-        rng = random.Random(2024)
-        draws = [tanny_sample(9, rng) for _ in range(20_000)]
-        assert tv_distance(_hist(draws), odd_count_pmf(10)) <= 0.02
+        # n uniforms against the odd-count law of a size-(n+1) tree, n = 1..8
+        rng = np.random.default_rng(2024)
+        for n in range(1, 9):
+            draws = tanny_sample_batch(n, 20_000, rng)
+            assert tv_distance(_hist(draws), odd_count_pmf(n + 1)) <= 0.02
 
     def test_batch_matches_scalar_law(self):
         rng = np.random.default_rng(7)
@@ -156,6 +152,22 @@ class TestBatchParity:
     def test_single_vertex(self):
         odd = sample_odd_counts(1, 50, np.random.default_rng(14))
         assert np.all(odd == 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
+    def test_bit_identical_to_reference_loop(self, n):
+        # three blocks, the last one partial, each fed its own pick uniforms
+        width = max(1, _BLOCK_CELLS // n)
+        reps = 2 * width + 3
+        rng = np.random.default_rng(n)
+        expected = []
+        for start in range(0, reps, width):
+            u = rng.random((n, min(width, reps - start)))
+            for col in u.T:
+                odd = [False] * n
+                for j in range(1, n):
+                    odd[j] = not odd[int(col[j] * j)]
+                expected.append(sum(odd))
+        assert sample_odd_counts(n, reps, np.random.default_rng(n)).tolist() == expected
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(0)

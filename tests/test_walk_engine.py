@@ -87,6 +87,15 @@ class TestStepLaw:
         batch = law.sample_batch(np.random.default_rng(0), 1000)
         assert np.all(np.abs(batch) >= 1.0)
 
+    @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(4, 5), Fraction(3)])
+    def test_pareto_matches_out_of_place_expression(self, alpha):
+        # the expression earlier releases used, before the draws were built in place
+        rng = np.random.default_rng(2024)
+        mag = (1.0 - rng.random(5000)) ** (-1.0 / float(alpha))
+        expected = mag * (2 * rng.integers(0, 2, size=5000) - 1)
+        draws = StepLaw.pareto_symmetric(alpha).sample_batch(np.random.default_rng(2024), 5000)
+        assert draws.tobytes() == expected.tobytes()
+
 
 class TestForest:
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
@@ -318,26 +327,24 @@ class TestBatch:
         a = simulate_batch(50, Fraction(1, 2), StepLaw.rademacher(), 500, 42)
         b = simulate_batch(50, Fraction(1, 2), StepLaw.rademacher(), 500, 42)
         assert np.array_equal(a.s_check, b.s_check)
-        assert np.array_equal(a.nu_k, b.nu_k)
-
-    def test_census_invariants(self):
-        batch = simulate_batch(8, Fraction(1, 2), StepLaw.dirac(1), 2000, 1, nu_kmax=8)
-        sizes = np.arange(1, 9)
-        assert np.all((batch.nu_k * sizes).sum(axis=1) == 8)
-        assert np.all(batch.nu_k.sum(axis=1) == batch.i_n)
-        assert np.array_equal(batch.nu1, batch.nu_k[:, 0])
-        assert np.all(batch.i_n >= 1) and np.all(batch.i_n <= 8)
-
-    def test_unit_mass_reinforced_sum_is_horizon(self):
-        batch = simulate_batch(30, Fraction(1, 3), StepLaw.dirac(1), 300, 9)
-        assert np.allclose(batch.s_hat, 30.0)
+        assert np.array_equal(a.nu1, b.nu1)
 
     def test_extreme_innovation_rates(self):
+        # every step an innovation: each replica sums n unit draws
         ones = simulate_batch(10, Fraction(1), StepLaw.dirac(1), 100, 5)
-        assert np.all(ones.i_n == 10)
-        assert np.allclose(ones.s_check, 10.0)
+        assert np.all(ones.s_check == 10.0)
+        assert np.all(ones.nu1 == 10)
+        # a single tree: one root at even depth and the rest alternate
         zeros = simulate_batch(10, Fraction(0), StepLaw.dirac(1), 100, 5)
-        assert np.all(zeros.i_n == 1)
+        assert np.all(np.abs(zeros.s_check) <= 10.0)
+        assert np.all(zeros.s_check % 2 == 0)
+        assert np.all(zeros.nu1 == 0)
+
+    def test_census_can_be_skipped(self):
+        batch = simulate_batch(20, Fraction(1, 2), StepLaw.dirac(1), 50, 3, census=False)
+        assert batch.nu1 is None
+        census = simulate_batch(20, Fraction(1, 2), StepLaw.dirac(1), 50, 3)
+        assert batch.s_check.tobytes() == census.s_check.tobytes()
 
     def test_matches_exhaustive_law(self):
         pmf = brute_force_walk_pmf(5, Fraction(1, 2), StepLaw.rademacher())
@@ -345,12 +352,6 @@ class TestBatch:
         values, counts = np.unique(np.rint(batch.s_check).astype(int), return_counts=True)
         hist = {int(v): int(c) for v, c in zip(values, counts)}
         assert tv_distance(hist, pmf) <= 0.05
-
-    def test_sum_delta_sq_consistent_with_check_sum(self):
-        # for a unit point mass the walk equals the sum of per-tree deltas
-        batch = simulate_batch(40, Fraction(1, 2), StepLaw.dirac(1), 500, 13)
-        assert batch.sum_delta_sq is not None
-        assert np.all(batch.sum_delta_sq >= 1.0)
 
     @pytest.mark.parametrize("n,p,law,reps", [
         (1, Fraction(1, 2), StepLaw.rademacher(), 3),
@@ -363,28 +364,20 @@ class TestBatch:
     def test_bit_identical_to_reference_loop_on_the_chunk_draws(self, n, p, law, reps):
         # the chunk draws and the float summation order of every earlier
         # release: a (n, rows) matrix summed along the step axis
-        seed, kmax = 2024, 4
+        seed = 2024
         rng = np.random.default_rng(child_seed(seed, 0))
         innov = rng.random((n, reps)) < float(p)
         u = rng.random((n, reps))
         draws = law.sample_batch(rng, n * reps).reshape(n, reps)
-        hat = np.empty((n, reps))
-        odd = np.empty((n, reps), dtype=bool)
-        sizes = np.empty((reps, kmax), dtype=np.int64)
-        dsq = np.empty(reps)
+        check = np.empty((n, reps))
+        singletons = np.empty(reps, dtype=np.int64)
         for r in range(reps):
-            root, odd[:, r] = reference_forest(innov[:, r], (u[:, r] * np.arange(n)).astype(np.int64))
-            hat[:, r] = draws[root, r]
-            counts = np.bincount(root, minlength=n)
-            sizes[r] = [(counts == k).sum() for k in range(1, kmax + 1)]
-            dsq[r] = (np.bincount(root, weights=1 - 2 * odd[:, r].astype(int), minlength=n) ** 2).sum()
-        batch = simulate_batch(n, p, law, reps, seed, nu_kmax=kmax)
-        assert batch.s_hat.tobytes() == hat.sum(axis=0).tobytes()
-        assert batch.s_check.tobytes() == np.where(odd, -hat, hat).sum(axis=0).tobytes()
-        assert np.array_equal(batch.i_n, 1 + innov[1:].sum(axis=0))
-        assert np.array_equal(batch.nu_k, sizes)
-        assert np.array_equal(batch.nu1, sizes[:, 0])
-        assert batch.sum_delta_sq.tobytes() == dsq.tobytes()
+            root, odd = reference_forest(innov[:, r], (u[:, r] * np.arange(n)).astype(np.int64))
+            check[:, r] = np.where(odd, -draws[root, r], draws[root, r])
+            singletons[r] = (np.bincount(root, minlength=n) == 1).sum()
+        batch = simulate_batch(n, p, law, reps, seed)
+        assert batch.s_check.tobytes() == check.sum(axis=0).tobytes()
+        assert np.array_equal(batch.nu1, singletons)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
