@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Union
 
 from .eulerian import delta_moment, odd_count_pmf
-from .recursive_tree import Tree, enumerate_increasing_trees, parity_profile
+from .recursive_tree import Tree, increasing_tree_deltas
 
 Number = Union[int, float, Fraction]
 
@@ -308,10 +308,8 @@ def shape_weighted_sum(p: Number, size_cap: int = 9) -> ShapeWeightedSum:
     k_beta_partial = Fraction(0)
     for k in range(1, size_cap + 1):
         rise = rising_factorial(1 + rho, k)
-        shell = Fraction(0)
-        for tau in enumerate_increasing_trees(k, cap=size_cap):
-            _, _, delta = parity_profile(tau)
-            shell += k + delta * delta
+        deltas = increasing_tree_deltas(k, cap=size_cap)
+        shell = k * len(deltas) + int(deltas @ deltas)
         truncated += shell / rise
         k_beta_partial += k * beta_of_k(k, p)
     # above the cap the second parity moment is exactly k/3, so the

@@ -24,41 +24,46 @@ from typing import Callable, Iterable, Mapping, Union
 
 Value = Union[int, Fraction]
 
-#: Rows up to this index are cached; larger rows are computed on the fly.
+#: Rows up to this index are memoised.  Past it only the last row asked for
+#: is kept: a request at or above it extends that row, any other request
+#: starts again from row ``ROW_MEMO_CAP``.
 ROW_MEMO_CAP = 200
 
 # Rows 0 and 1 are seeded by hand: row 0 holds the conventional entry
 # <0,-1> = 1, and the recurrence below is only valid from row 2 on.
 _rows: list[list[int]] = [[1], [1]]
+# The most recent row past the cap, as (index, row).
+_far: tuple[int, list[int]] | None = None
 _rows_lock = threading.Lock()
 
 
 def _next_row(prev: list[int], n: int) -> list[int]:
-    # <n,k> = (n-k) <n-1,k-1> + (k+1) <n-1,k>, regular entries only (n >= 2)
-    row = []
-    for k in range(n):
-        left = prev[k - 1] if k >= 1 else 0
-        right = prev[k] if k <= n - 2 else 0
-        row.append((n - k) * left + (k + 1) * right)
-    return row
+    # <n,k> = (n-k) <n-1,k-1> + (k+1) <n-1,k> for the first ceil(n/2) entries
+    # (n >= 2, so <n-1,k> is a regular entry there); the rest mirror them,
+    # since <n,k> = <n,n-1-k>
+    half = [prev[0]]
+    half += [(n - k) * prev[k - 1] + (k + 1) * prev[k] for k in range(1, (n + 1) // 2)]
+    return half + half[: n // 2][::-1]
 
 
 def _row_values(n: int) -> list[int]:
+    global _far
     if n < len(_rows):
         return _rows[n]
-    if n <= ROW_MEMO_CAP:
-        with _rows_lock:
-            while len(_rows) <= n:
-                m = len(_rows)
-                _rows.append(_next_row(_rows[m - 1], m))
-            return _rows[n]
-    # beyond the cap: extend from the cached prefix without storing
     with _rows_lock:
-        row = list(_rows[-1])
-        start = len(_rows)
-    for m in range(start, n + 1):
-        row = _next_row(row, m)
-    return row
+        while len(_rows) <= min(n, ROW_MEMO_CAP):
+            m = len(_rows)
+            _rows.append(_next_row(_rows[m - 1], m))
+        if n <= ROW_MEMO_CAP:
+            return _rows[n]
+        if _far is not None and _far[0] <= n:
+            start, row = _far
+        else:
+            start, row = ROW_MEMO_CAP, _rows[ROW_MEMO_CAP]
+        for m in range(start + 1, n + 1):
+            row = _next_row(row, m)
+        _far = (n, row)
+        return row
 
 
 @dataclass(frozen=True)
@@ -107,9 +112,20 @@ def eulerian_number_by_sum(n: int, k: int) -> int:
         raise ValueError("the alternating sum needs n >= 1")
     if k < 0 or k >= n:
         return 0
-    return sum(
-        (-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1)
-    )
+    total = 0
+    binom = 1  # C(n+1, j)
+    for j in range(k + 1):
+        term = binom * (k + 1 - j) ** n
+        total += -term if j & 1 else term
+        binom = binom * (n + 1 - j) // (j + 1)
+    return total
+
+
+def _exact_sum(terms: Iterable[Fraction]) -> Fraction:
+    # one gcd for the whole sum instead of one per addition
+    terms = list(terms)
+    den = math.lcm(*(t.denominator for t in terms))
+    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
 
 
 def _as_exact(x: Value) -> Value:
@@ -137,7 +153,7 @@ class ExactPmf:
             raise ValueError("support must be sorted strictly increasing")
         if any(p <= 0 for p in self.probs):
             raise ValueError("probabilities must be positive")
-        if sum(self.probs, Fraction(0)) != 1:
+        if _exact_sum(self.probs) != 1:
             raise ValueError("probabilities must sum to 1 exactly")
 
     @classmethod
@@ -155,21 +171,21 @@ class ExactPmf:
             return Fraction(0)
 
     def mean(self) -> Fraction:
-        return sum((p * v for v, p in self.items()), Fraction(0))
+        return _exact_sum(p * v for v, p in self.items())
 
     def moment(self, r: int) -> Fraction:
         if r < 0:
             raise ValueError("moment order must be >= 0")
-        return sum((p * v**r for v, p in self.items()), Fraction(0))
+        return _exact_sum(p * v**r for v, p in self.items())
 
     def abs_moment(self, r: int) -> Fraction:
-        return sum((p * abs(v) ** r for v, p in self.items()), Fraction(0))
+        return _exact_sum(p * abs(v) ** r for v, p in self.items())
 
     def pushforward(self, fn: Callable[[Value], Value]) -> "ExactPmf":
         out: dict[Value, Fraction] = {}
         for v, p in self.items():
             w = _as_exact(fn(v))
-            out[w] = out.get(w, Fraction(0)) + p
+            out[w] = out[w] + p if w in out else p
         return ExactPmf.from_mapping(out)
 
     def as_floats(self) -> dict[float, float]:
@@ -186,10 +202,9 @@ def odd_count_pmf(n: int) -> ExactPmf:
         return ExactPmf((0,), (Fraction(1),))
     row = _row_values(n - 1)
     denom = math.factorial(n - 1)
-    return ExactPmf(
-        tuple(range(1, n)),
-        tuple(Fraction(row[ell - 1], denom) for ell in range(1, n)),
-    )
+    # the law is symmetric (ell <-> n - ell), like the row: reduce half of it
+    half = [Fraction(c, denom) for c in row[: n // 2]]
+    return ExactPmf(tuple(range(1, n)), tuple(half + half[: (n - 1) // 2][::-1]))
 
 
 def delta_pmf(n: int) -> ExactPmf:
@@ -206,4 +221,9 @@ def delta_moment(n: int, r: int) -> Fraction:
         raise ValueError("tree size must be >= 1")
     if r < 1:
         raise ValueError("moment order must be >= 1")
-    return delta_pmf(n).moment(r)
+    if n == 1:
+        return Fraction(1)
+    # sum over the odd-count law P(ell) = <n-1, ell-1> / (n-1)! in integers
+    row = _row_values(n - 1)
+    total = sum(c * (n - 2 * ell) ** r for ell, c in enumerate(row, start=1))
+    return Fraction(total, math.factorial(n - 1))

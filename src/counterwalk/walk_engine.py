@@ -408,11 +408,6 @@ class BatchSummary:
     ``s_check`` and the singleton-tree counts ``nu1`` (``None`` when the
     census was skipped)."""
 
-    n: int
-    p: Fraction
-    law: StepLaw
-    seed: int
-    reps: int
     s_check: np.ndarray
     nu1: np.ndarray | None
 
@@ -482,4 +477,4 @@ def simulate_batch(
         # fixes the bits of the float totals; keep it
         s_check[start:stop] = xval.sum(axis=0)
 
-    return BatchSummary(n, p, law, seed, reps, s_check, nu1)
+    return BatchSummary(s_check, nu1)

@@ -1,12 +1,17 @@
 import itertools
 import math
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counterwalk import eulerian
 from counterwalk.eulerian import (
+    ROW_MEMO_CAP,
     ExactPmf,
     delta_moment,
     delta_pmf,
@@ -24,6 +29,15 @@ def _descents(perm):
 def _eulerian_by_permutations(n, k):
     """Third, definition-level route: count descents over all permutations."""
     return sum(1 for perm in itertools.permutations(range(n)) if _descents(perm) == k)
+
+
+def _reference_rows(n_max):
+    """Rows 0..n_max by the full two-term recurrence, no symmetry used."""
+    rows = [[1], [1]]
+    for n in range(2, n_max + 1):
+        prev = rows[-1] + [0]
+        rows.append([(n - k) * (prev[k - 1] if k else 0) + (k + 1) * prev[k] for k in range(n)])
+    return rows
 
 
 class TestTriangle:
@@ -63,18 +77,82 @@ class TestTriangle:
             for k in range(n):
                 assert eulerian_number(n, k) == eulerian_number_by_sum(n, k)
 
-    @given(st.integers(min_value=1, max_value=60))
-    def test_row_is_palindromic_and_sums_to_factorial(self, n):
-        row = eulerian_row(n).values
-        assert row == row[::-1]
-        assert sum(row) == math.factorial(n)
-        assert all(v >= 1 for v in row)
+    def test_half_row_recurrence_matches_full_recurrence(self):
+        rows = _reference_rows(80)
+        for n in range(2, 81):
+            assert eulerian._next_row(rows[n - 1], n) == rows[n]
+
+    def test_alternating_sum_matches_binomial_expression(self):
+        for n in range(1, 41):
+            for k in range(n):
+                expected = sum(
+                    (-1) ** j * math.comb(n + 1, j) * (k + 1 - j) ** n for j in range(k + 1)
+                )
+                assert eulerian_number_by_sum(n, k) == expected
 
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=-2, max_value=41))
     def test_total_function_agreement(self, n, k):
         lhs = eulerian_number(n, k)
         rhs = eulerian_number_by_sum(n, k)
         assert lhs == rhs
+
+
+class TestRowsPastTheCap:
+    ORDER = [230, 205, 260, 260, 210, 201, ROW_MEMO_CAP + 30, 240]
+
+    def test_any_request_order_gives_the_reference_rows(self, monkeypatch):
+        monkeypatch.setattr(eulerian, "_far", None)
+        rows = _reference_rows(260)
+        for n in self.ORDER:
+            row = eulerian_row(n).values
+            assert list(row) == rows[n]
+            for k in (0, 1, n // 3, n // 2):
+                assert row[k] == eulerian_number_by_sum(n, k)
+
+    def test_concurrent_requests_agree(self, monkeypatch):
+        monkeypatch.setattr(eulerian, "_far", None)
+        expected = {n: eulerian_row(n).values for n in self.ORDER}
+        monkeypatch.setattr(eulerian, "_far", None)
+        results = [[] for _ in range(4)]
+
+        def worker(i):
+            order = list(self.ORDER)
+            random.Random(i).shuffle(order)
+            for n in order:
+                results[i].append((n, eulerian_row(n).values))
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for got in results:
+            assert len(got) == len(self.ORDER)
+            assert all(values == expected[n] for n, values in got)
+
+    def test_rising_sweep_extends_the_last_far_row(self, monkeypatch):
+        eulerian_row(ROW_MEMO_CAP)  # fill the memo
+        monkeypatch.setattr(eulerian, "_far", None)
+        calls = []
+        next_row = eulerian._next_row
+
+        def counted(prev, n):
+            calls.append(n)
+            return next_row(prev, n)
+
+        monkeypatch.setattr(eulerian, "_next_row", counted)
+        for n in range(ROW_MEMO_CAP + 1, ROW_MEMO_CAP + 31):
+            eulerian_row(n)
+        assert len(calls) == 30
+        calls.clear()
+        eulerian_row(ROW_MEMO_CAP + 30)
+        assert calls == []
 
 
 class TestOddCountPmf:
@@ -131,6 +209,12 @@ class TestDeltaPmf:
         for n in range(1, 41):
             assert delta_moment(n, 4) <= 6 * n * n
 
+    def test_integer_moments_match_the_pmf(self):
+        for n in range(1, 61):
+            law = delta_pmf(n)
+            for r in range(1, 5):
+                assert delta_moment(n, r) == law.moment(r)
+
 
 class TestExactPmf:
     def test_validation(self):
@@ -140,6 +224,15 @@ class TestExactPmf:
             ExactPmf((0, 1), (Fraction(1, 2), Fraction(1, 4)))  # sums below 1
         with pytest.raises(ValueError):
             ExactPmf((), ())
+
+    def test_rejects_big_denominator_mass_short_of_one(self):
+        n = 30
+        law = odd_count_pmf(n)
+        short = Fraction(1, math.factorial(n - 1))
+        probs = (law.probs[0],) + (law.probs[1] - short,) + law.probs[2:]
+        assert sum(probs) == 1 - short
+        with pytest.raises(ValueError):
+            ExactPmf(law.values, probs)
 
     def test_pushforward_merges(self):
         pmf = ExactPmf((-1, 1), (Fraction(1, 2), Fraction(1, 2)))

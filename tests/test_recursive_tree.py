@@ -10,6 +10,7 @@ from counterwalk.eulerian import delta_moment, odd_count_pmf
 from counterwalk.recursive_tree import (
     Tree,
     enumerate_increasing_trees,
+    increasing_tree_deltas,
     parity_profile,
     sample_odd_counts,
     tanny_sample_batch,
@@ -72,6 +73,19 @@ class TestEnumeration:
             enumerate_increasing_trees(10)
         with pytest.raises(ValueError):
             enumerate_increasing_trees(0)
+
+    def test_vectorised_deltas_match_tree_by_tree_census(self):
+        for k in range(1, 9):
+            expected = [parity_profile(t)[2] for t in enumerate_increasing_trees(k)]
+            assert increasing_tree_deltas(k).tolist() == expected
+
+    def test_vectorised_deltas_cap(self):
+        with pytest.raises(ValueError):
+            increasing_tree_deltas(10)
+        with pytest.raises(ValueError):
+            increasing_tree_deltas(5, cap=4)
+        with pytest.raises(ValueError):
+            increasing_tree_deltas(0)
 
     def test_uniform_law_matches_exact_moments(self):
         # averaging over the full enumeration is the exact expectation
