@@ -1,106 +1,3 @@
 """Simulation and exact verification of random walks with counterbalanced steps."""
 
 __version__ = "0.1.0"
-
-from .eulerian import (
-    EulerianRow,
-    ExactPmf,
-    delta_moment,
-    delta_pmf,
-    eulerian_number,
-    eulerian_number_by_sum,
-    eulerian_row,
-    odd_count_pmf,
-)
-from .recursive_tree import (
-    Tree,
-    enumerate_increasing_trees,
-    parity_profile,
-    sample_odd_counts,
-    tanny_sample_batch,
-)
-from .walk_engine import (
-    BatchSummary,
-    ForestCensus,
-    StepLaw,
-    WalkRun,
-    decompose,
-    forest_census,
-    parse_mu_spec,
-    representation_residual,
-    simulate,
-    simulate_batch,
-    simulate_seeded,
-)
-from .asymptotics import (
-    LimitConstants,
-    StableSpec,
-    clt_variance,
-    exact_mean,
-    limit_constants,
-    nu1_clt_variance,
-    rising_factorial,
-    sigma_sq_k,
-    stable_check_exponent,
-    tree_freq_limit,
-    velocity,
-    yule_simon_pmf,
-)
-from .verify import (
-    CheckReport,
-    brute_force_walk_pmf,
-    empirical_cf,
-    ks_normal,
-    moment_check,
-    tv_distance,
-)
-from .acceptance import ACCEPTANCE_CRITERIA, run_all, run_criterion
-
-__all__ = [
-    "__version__",
-    "EulerianRow",
-    "ExactPmf",
-    "delta_moment",
-    "delta_pmf",
-    "eulerian_number",
-    "eulerian_number_by_sum",
-    "eulerian_row",
-    "odd_count_pmf",
-    "Tree",
-    "enumerate_increasing_trees",
-    "parity_profile",
-    "sample_odd_counts",
-    "tanny_sample_batch",
-    "BatchSummary",
-    "ForestCensus",
-    "StepLaw",
-    "WalkRun",
-    "decompose",
-    "forest_census",
-    "parse_mu_spec",
-    "representation_residual",
-    "simulate",
-    "simulate_batch",
-    "simulate_seeded",
-    "LimitConstants",
-    "StableSpec",
-    "clt_variance",
-    "exact_mean",
-    "limit_constants",
-    "nu1_clt_variance",
-    "rising_factorial",
-    "sigma_sq_k",
-    "stable_check_exponent",
-    "tree_freq_limit",
-    "velocity",
-    "yule_simon_pmf",
-    "CheckReport",
-    "brute_force_walk_pmf",
-    "empirical_cf",
-    "ks_normal",
-    "moment_check",
-    "tv_distance",
-    "ACCEPTANCE_CRITERIA",
-    "run_all",
-    "run_criterion",
-]

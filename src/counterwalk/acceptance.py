@@ -40,8 +40,8 @@ from .walk_engine import (
     StepLaw,
     forest_census,
     representation_residual,
+    simulate,
     simulate_batch,
-    simulate_seeded,
 )
 
 DEFAULT_SEED = 20260809
@@ -175,13 +175,13 @@ def c06_forest_representation(seed: int, fast: bool = False) -> list[CheckReport
     runs = 0
     for i, law in enumerate((StepLaw.dirac(1), StepLaw.rademacher())):
         for r in range(n_exact):
-            run = simulate_seeded(n, p, law, child_seed(seed, 600 + 100 * i + r))
+            run = simulate(n, p, law, child_seed(seed, 600 + 100 * i + r))
             max_exact = max(max_exact, float(representation_residual(run)))
             runs += 1
     gauss = StepLaw.gaussian(0, 1)
     max_gauss = 0.0
     for r in range(n_gauss):
-        run = simulate_seeded(n, p, gauss, child_seed(seed, 900 + r))
+        run = simulate(n, p, gauss, child_seed(seed, 900 + r))
         rel = float(representation_residual(run)) / (1.0 + abs(float(run.final_check)))
         max_gauss = max(max_gauss, rel)
         runs += 1
@@ -250,7 +250,7 @@ def c10_tree_size_frequencies(seed: int, fast: bool = False) -> list[CheckReport
     law = StepLaw.dirac(1)
     nus: list[dict[int, int]] = []
     for r in range(reps):
-        run = simulate_seeded(n, p, law, child_seed(seed, 1000 + r))
+        run = simulate(n, p, law, child_seed(seed, 1000 + r))
         nus.append(forest_census(run, shape_cap=1).nu)
     reports = []
     pn = float(p) * n
@@ -399,7 +399,7 @@ def c14_shape_frequencies(seed: int, fast: bool = False) -> list[CheckReport]:
     shape_counts: list[dict[tuple[int, ...], int]] = []
     dsq_rates = []
     for r in range(reps):
-        run = simulate_seeded(n, p, law, child_seed(seed, 1400 + r))
+        run = simulate(n, p, law, child_seed(seed, 1400 + r))
         census = forest_census(run, shape_cap=3)
         shape_counts.append(census.nu_shape)
         dsq_rates.append(int(census.delta_per_tree @ census.delta_per_tree) / n)

@@ -62,16 +62,12 @@ def rising_factorial(x: Number, k: int) -> Fraction:
 
 
 def beta_of_k(k: int, p: Number) -> Fraction:
-    """``B(k, 1 + rho)`` as an exact rational: ``(k-1)! / prod(rho + j)``."""
+    """``B(k, 1 + rho)`` as an exact rational: ``(k-1)! / (1+rho)^(rising k)``."""
     if k < 1:
         raise ValueError("k must be >= 1")
     p = _frac(p, "p")
     _check_open01(p)
-    rho = rho_of(p)
-    denom = Fraction(1)
-    for j in range(1, k + 1):
-        denom *= rho + j
-    return Fraction(math.factorial(k - 1)) / denom
+    return Fraction(math.factorial(k - 1)) / rising_factorial(1 + rho_of(p), k)
 
 
 def velocity(p: Number, m1: Number) -> Fraction:
@@ -289,7 +285,6 @@ class ShapeWeightedSum:
     deliberately not asserted anywhere.
     """
 
-    p: Fraction
     size_cap: int
     truncated: Fraction
     tail: Fraction
@@ -318,7 +313,7 @@ def shape_weighted_sum(p: Number, size_cap: int = 9) -> ShapeWeightedSum:
     total = truncated + tail
     candidate_simple = 4 * p / (3 * (1 - p))
     candidate_grouped = Fraction(4, 3) * (1 - p) / p + Fraction(2, 3) * (1 - p) / (3 - 2 * p)
-    return ShapeWeightedSum(p, size_cap, truncated, tail, total, candidate_simple, candidate_grouped)
+    return ShapeWeightedSum(size_cap, truncated, tail, total, candidate_simple, candidate_grouped)
 
 
 def delta_sq_rate(p: Number) -> Fraction:
@@ -340,9 +335,6 @@ class LimitConstants:
     (0, 1) are ``None`` when unavailable.
     """
 
-    p: Fraction
-    m1: Fraction | None
-    m2: Fraction | None
     velocity: Fraction | None
     clt_variance: Fraction | None
     nu1_variance: Fraction
@@ -365,4 +357,4 @@ def limit_constants(p: Number, m1: Number | None, m2: Number | None, kmax: int =
     if inside and m1 is not None and m2 is not None:
         sigma = {k: sigma_sq_k(k, p, m1, m2) for k in range(1, kmax + 1)}
     ys = {k: yule_simon_pmf(k, p) for k in range(1, kmax + 1)} if inside else None
-    return LimitConstants(p, m1, m2, vel, clt, nu1_clt_variance(p), rho, sigma, ys)
+    return LimitConstants(vel, clt, nu1_clt_variance(p), rho, sigma, ys)

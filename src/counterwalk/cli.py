@@ -41,7 +41,7 @@ from .eulerian import ExactPmf, delta_pmf, eulerian_row, odd_count_pmf
 from .recursive_tree import sample_odd_counts
 from .replication import replica_seeds, run_replicas
 from .verify import BRUTE_FORCE_MAX_N, brute_force_walk_pmf
-from .walk_engine import StepLaw, forest_census, parse_mu_spec, simulate_seeded
+from .walk_engine import StepLaw, forest_census, parse_mu_spec, simulate
 
 
 class CliError(Exception):
@@ -124,7 +124,7 @@ def _pmf_rows(pmf: ExactPmf) -> list[tuple[str, int, int]]:
 
 def _replica(n: int, p: Fraction, law: StepLaw, traj_every: int, task: tuple[int, int]):
     rep, seed = task
-    run = simulate_seeded(n, p, law, seed)
+    run = simulate(n, p, law, seed)
     nu1 = forest_census(run, shape_cap=1).nu.get(1, 0)
     summary = (rep, n, run.innovations, float(run.final_check), float(run.final_hat), nu1)
     traj = []

@@ -1,9 +1,8 @@
 """Exact Eulerian-number combinatorics and the parity laws they induce.
 
 Everything in this module is exact: the descent triangle is built with
-Python big integers and the probability masses are `fractions.Fraction`.
-Floating point never enters except through the explicit projection
-`ExactPmf.as_floats`.
+Python big integers and the probability masses are `fractions.Fraction`;
+floating point never enters.
 
 The triangle entry ``<n, k>`` counts permutations of ``{1..n}`` with
 exactly ``k`` descents.  Two conventions matter throughout:
@@ -164,12 +163,6 @@ class ExactPmf:
     def items(self) -> Iterable[tuple[Value, Fraction]]:
         return zip(self.values, self.probs)
 
-    def prob_of(self, value: Value) -> Fraction:
-        try:
-            return self.probs[self.values.index(_as_exact(value))]
-        except ValueError:
-            return Fraction(0)
-
     def mean(self) -> Fraction:
         return _exact_sum(p * v for v, p in self.items())
 
@@ -187,10 +180,6 @@ class ExactPmf:
             w = _as_exact(fn(v))
             out[w] = out[w] + p if w in out else p
         return ExactPmf.from_mapping(out)
-
-    def as_floats(self) -> dict[float, float]:
-        """Explicit lossy projection for numeric consumers."""
-        return {float(v): float(p) for v, p in self.items()}
 
 
 def odd_count_pmf(n: int) -> ExactPmf:

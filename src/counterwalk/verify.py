@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping, Sequence, Union
@@ -55,18 +55,7 @@ class CheckReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "statistic": self.statistic,
-            "value": self.value,
-            "threshold": self.threshold,
-            "passed": self.passed,
-            "sample_size": self.sample_size,
-            "seed": self.seed,
-            "config": self.config,
-            "details": self.details,
-        }
-        return json.dumps(payload, sort_keys=True, default=str)
+        return json.dumps(asdict(self), sort_keys=True, default=str)
 
 
 def make_report(

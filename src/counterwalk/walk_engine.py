@@ -10,10 +10,11 @@ and depth parity from the picks by pointer jumping; every simulator and
 every reduction in this module, and the tree sampler of `recursive_tree`,
 runs on its output.
 
-`simulate` consumes its generator in a fixed order: ``n`` innovation
-uniforms (step ``j``, 0-based, is an innovation when its uniform is below
-``p``; the first is drawn but ignored), then ``n`` pick uniforms (step
-``j`` picks ``floor(uniform * j)``), then one fresh step per innovation.
+`simulate` draws from ``np.random.default_rng(seed)`` in a fixed order:
+``n`` innovation uniforms (step ``j``, 0-based, is an innovation when its
+uniform is below ``p``; the first is drawn but ignored), then ``n`` pick
+uniforms (step ``j`` picks ``floor(uniform * j)``), then one fresh step per
+innovation.
 Lattice laws (``rademacher``, ``dirac``) are simulated as int64 multiples of
 their lattice step, so their sums are exact; float laws finish their sums
 with `math.fsum` and compensate their partial sums.
@@ -51,30 +52,29 @@ class StepLaw:
     m2: Fraction | None
     discrete_support: tuple[Number, ...] | None
     discrete_probs: tuple[Fraction, ...] | None
-    exact: bool
 
     @classmethod
     def rademacher(cls) -> "StepLaw":
         return cls(
             "rademacher", (), Fraction(0), Fraction(1),
-            (-1, 1), (Fraction(1, 2), Fraction(1, 2)), True,
+            (-1, 1), (Fraction(1, 2), Fraction(1, 2)),
         )
 
     @classmethod
     def dirac(cls, c: Number) -> "StepLaw":
         c = Fraction(c)
-        return cls("dirac", (c,), c, c * c, (_as_exact(c),), (Fraction(1),), True)
+        return cls("dirac", (c,), c, c * c, (_as_exact(c),), (Fraction(1),))
 
     @classmethod
     def uniform_symmetric(cls) -> "StepLaw":
-        return cls("uniform", (), Fraction(0), Fraction(1, 3), None, None, False)
+        return cls("uniform", (), Fraction(0), Fraction(1, 3), None, None)
 
     @classmethod
     def gaussian(cls, mean: Number, variance: Number) -> "StepLaw":
         mean, variance = Fraction(mean), Fraction(variance)
         if variance < 0:
             raise ValueError("gaussian variance must be >= 0")
-        return cls("gauss", (mean, variance), mean, variance + mean * mean, None, None, False)
+        return cls("gauss", (mean, variance), mean, variance + mean * mean, None, None)
 
     @classmethod
     def pareto_symmetric(cls, alpha: Number) -> "StepLaw":
@@ -83,7 +83,7 @@ class StepLaw:
             raise ValueError("pareto exponent must be > 0")
         m1 = Fraction(0) if alpha > 1 else None
         m2 = alpha / (alpha - 2) if alpha > 2 else None
-        return cls("pareto", (alpha,), m1, m2, None, None, False)
+        return cls("pareto", (alpha,), m1, m2, None, None)
 
     def spec_string(self) -> str:
         """Canonical spec string; `parse_mu_spec` round-trips it."""
@@ -105,6 +105,11 @@ class StepLaw:
         if self.kind == "dirac":
             return self.params[0]
         return None
+
+    @property
+    def exact(self) -> bool:
+        """Whether draws are simulated exactly, as lattice multiples."""
+        return self.lattice_step is not None
 
     def sample_units(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws of an exact law as int64 multiples of `lattice_step`."""
@@ -252,9 +257,7 @@ class WalkRun:
     """
 
     n: int
-    p: Fraction
     law: StepLaw
-    seed: int | None
     eps: np.ndarray
     v: np.ndarray
     x: np.ndarray
@@ -298,15 +301,16 @@ class WalkRun:
         return a * step.numerator / step.denominator
 
 
-def simulate(n: int, p: Number, law: StepLaw, rng: np.random.Generator, seed: int | None = None) -> WalkRun:
-    """Run the coupled recursion for ``n`` steps, drawing from ``rng`` in the
-    order the module docstring pins; the same stream state reproduces the
-    run bit for bit."""
+def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
+    """Run the coupled recursion for ``n`` steps, drawing from a fresh
+    ``np.random.default_rng(seed)`` in the order the module docstring pins;
+    the same seed reproduces the run bit for bit."""
     if n < 1:
         raise ValueError("horizon must be >= 1")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
+    rng = np.random.default_rng(seed)
     eps = rng.random(n) < float(p)
     eps[0] = True
     picks = _picks(rng.random(n))
@@ -315,12 +319,7 @@ def simulate(n: int, p: Number, law: StepLaw, rng: np.random.Generator, seed: in
     x = law.sample_units(rng, i_n) if law.exact else law.sample_batch(rng, i_n)
     tree_id = np.cumsum(eps)[root]
     v = np.where(eps, 0, picks + 1)
-    return WalkRun(n, p, law, seed, eps, v, x, tree_id, odd)
-
-
-def simulate_seeded(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
-    """`simulate` with a fresh ``np.random.default_rng(seed)`` stream."""
-    return simulate(n, p, law, np.random.default_rng(seed), seed=seed)
+    return WalkRun(n, law, eps, v, x, tree_id, odd)
 
 
 @dataclass(frozen=True)
@@ -329,15 +328,15 @@ class ForestCensus:
 
     ``occurrences[j-1]`` counts how often innovation ``j`` was used,
     ``nu[k]`` counts trees of size ``k``, ``nu_shape`` counts trees of
-    size <= ``shape_cap`` keyed by their local parent sequence, and
-    ``delta_per_tree`` holds each tree's even-minus-odd vertex count.
+    size <= the ``shape_cap`` of `forest_census` keyed by their local
+    parent sequence, and ``delta_per_tree`` holds each tree's
+    even-minus-odd vertex count.
     """
 
     occurrences: np.ndarray
     nu: dict[int, int]
     nu_shape: dict[tuple[int, ...], int]
     delta_per_tree: np.ndarray
-    shape_cap: int
 
 
 def _tree_stats(run: WalkRun) -> tuple[np.ndarray, np.ndarray]:
@@ -377,7 +376,7 @@ def forest_census(run: WalkRun, shape_cap: int = 6) -> ForestCensus:
                                        axis=0, return_counts=True)
             for seq, c in zip(seqs.tolist(), seq_freq.tolist()):
                 nu_shape[tuple(seq)] = c
-    return ForestCensus(counts, nu, nu_shape, deltas, shape_cap)
+    return ForestCensus(counts, nu, nu_shape, deltas)
 
 
 def decompose(run: WalkRun) -> dict[int, Number]:

@@ -246,6 +246,34 @@ def test_cli_import_loads_neither_scipy_nor_a_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+def test_exact_layer_imports_without_numpy_and_package_loads_no_submodule():
+    import counterwalk
+
+    src = os.path.dirname(os.path.dirname(counterwalk.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, counterwalk; loaded = sorted(m for m in sys.modules if m.startswith('counterwalk.')); "
+             "import counterwalk.eulerian; print(loaded, 'numpy' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         timeout=60, check=True)
+    assert out.stdout.strip() == "[] False"
+
+
+@pytest.mark.parametrize("script, args, header", [
+    ("velocity_sweep.py", ["--n", "200", "--reps", "4"], "p,mean_speed,mc_sd,predicted"),
+    ("clt_profile.py", ["--n", "200", "--reps", "200"], "quantile,empirical,gaussian"),
+])
+def test_script_runs(script, args, header):
+    import counterwalk
+
+    src = os.path.dirname(os.path.dirname(counterwalk.__file__))
+    path = os.path.join(os.path.dirname(src), "scripts", script)
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, path, *args], env=env, capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0] == header
+
+
 def test_ks_check_runs_without_scipy():
     # numpy is the only runtime dependency: the Gaussian cdf comes from math.erfc
     import counterwalk

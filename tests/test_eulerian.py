@@ -239,17 +239,6 @@ class TestExactPmf:
         sq = pmf.pushforward(lambda v: v * v)
         assert dict(sq.items()) == {1: Fraction(1)}
 
-    def test_float_projection(self):
-        pmf = odd_count_pmf(4)
-        floats = pmf.as_floats()
-        assert floats[2.0] == pytest.approx(2 / 3)
-        assert sum(floats.values()) == pytest.approx(1.0)
-
-    def test_prob_of_missing_value(self):
-        pmf = delta_pmf(3)
-        assert pmf.prob_of(17) == 0
-        assert pmf.prob_of(1) == Fraction(1, 2)
-
     def test_mean_and_moment(self):
         pmf = ExactPmf((0, 3), (Fraction(2, 3), Fraction(1, 3)))
         assert pmf.mean() == 1

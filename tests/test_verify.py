@@ -193,3 +193,16 @@ class TestCheckReport:
         assert payload["passed"] is True
         assert payload["seed"] == 17
         assert payload["config"] == {"n": 10}
+
+    def test_json_bytes_are_pinned(self):
+        # exact rationals in the config print as strings; keys sort at every level
+        report = make_report(
+            "demo", "tv_distance", 0.004, 0.01, 1000, 17,
+            config={"p": Fraction(1, 3), "n": 10},
+            details={"per_k": {"k2": 0.5, "k1": [1, 2]}, "note": "ok"},
+        )
+        assert report.to_json() == (
+            '{"config": {"n": 10, "p": "1/3"}, "details": {"note": "ok", "per_k": '
+            '{"k1": [1, 2], "k2": 0.5}}, "name": "demo", "passed": true, "sample_size": 1000, '
+            '"seed": 17, "statistic": "tv_distance", "threshold": 0.01, "value": 0.004}'
+        )

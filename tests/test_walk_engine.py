@@ -17,7 +17,6 @@ from counterwalk.walk_engine import (
     representation_residual,
     simulate,
     simulate_batch,
-    simulate_seeded,
 )
 
 ALL_LAWS = (
@@ -76,6 +75,11 @@ class TestStepLaw:
         assert StepLaw.uniform_symmetric().m2 == Fraction(1, 3)
         assert StepLaw.gaussian(2, 3).m2 == 7
 
+    @pytest.mark.parametrize("spec", ["rademacher", "dirac:1/2", "uniform", "gauss:0,1", "pareto:3/2"])
+    def test_exact_iff_lattice_iff_finite_support(self, spec):
+        law = parse_mu_spec(spec)
+        assert law.exact == (law.lattice_step is not None) == (law.discrete_support is not None)
+
     def test_pareto_moment_availability(self):
         assert StepLaw.pareto_symmetric(Fraction(3, 2)).m1 == 0
         assert StepLaw.pareto_symmetric(Fraction(3, 2)).m2 is None
@@ -128,20 +132,19 @@ class TestForest:
 
 class TestSimulate:
     def test_rejects_bad_arguments(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            simulate(0, Fraction(1, 2), StepLaw.dirac(1), rng)
+            simulate(0, Fraction(1, 2), StepLaw.dirac(1), 0)
         with pytest.raises(ValueError):
-            simulate(5, Fraction(3, 2), StepLaw.dirac(1), rng)
+            simulate(5, Fraction(3, 2), StepLaw.dirac(1), 0)
 
     def test_first_step_is_always_an_innovation(self):
         for seed in range(5):
-            run = simulate_seeded(20, Fraction(0), StepLaw.rademacher(), seed)
+            run = simulate(20, Fraction(0), StepLaw.rademacher(), seed)
             assert run.eps[0]
             assert run.tree_id[0] == 1 and not run.parity[0]
 
     def test_innovation_count_tracks_bits(self):
-        run = simulate_seeded(200, Fraction(1, 3), StepLaw.dirac(1), 3)
+        run = simulate(200, Fraction(1, 3), StepLaw.dirac(1), 3)
         running = 0
         for bit, tree in zip(run.eps, run.tree_id):
             running += bit
@@ -151,7 +154,7 @@ class TestSimulate:
         assert len(run.x) == run.innovations == running
 
     def test_pick_only_drawn_when_counterbalancing(self):
-        run = simulate_seeded(100, Fraction(1, 2), StepLaw.dirac(1), 4)
+        run = simulate(100, Fraction(1, 2), StepLaw.dirac(1), 4)
         for m in range(2, 101):
             if run.eps[m - 1]:
                 assert run.v[m - 1] == 0
@@ -159,7 +162,7 @@ class TestSimulate:
                 assert 1 <= run.v[m - 1] <= m - 1
 
     def test_pure_innovation_is_plain_random_walk(self):
-        run = simulate_seeded(100, Fraction(1), StepLaw.rademacher(), 7)
+        run = simulate(100, Fraction(1), StepLaw.rademacher(), 7)
         assert np.array_equal(run.x_check, run.x)
         assert np.array_equal(run.x[run.tree_id - 1], run.x)
         assert run.final_check == sum(run.x)
@@ -168,7 +171,7 @@ class TestSimulate:
         assert parts[1] == run.final_check
 
     def test_pure_counterbalance_follows_tree_parity(self):
-        run = simulate_seeded(300, Fraction(0), StepLaw.dirac(1), 11)
+        run = simulate(300, Fraction(0), StepLaw.dirac(1), 11)
         assert run.innovations == 1
         partial = 0
         for m in range(1, 301):
@@ -179,7 +182,7 @@ class TestSimulate:
 
     def test_coupling_and_sign_rule(self):
         for law in ALL_LAWS:
-            run = simulate_seeded(400, Fraction(1, 3), law, 21)
+            run = simulate(400, Fraction(1, 3), law, 21)
             for xc, xh, par in zip(run.x_check, run.x[run.tree_id - 1], run.parity):
                 assert abs(xc) == abs(xh)
                 if par == 0:
@@ -188,7 +191,7 @@ class TestSimulate:
                     assert xc == -xh
 
     def test_parity_matches_independent_reconstruction(self):
-        run = simulate_seeded(300, Fraction(2, 5), StepLaw.dirac(1), 33)
+        run = simulate(300, Fraction(2, 5), StepLaw.dirac(1), 33)
         parity = [0] * (run.n + 1)
         for m in range(1, run.n + 1):
             if run.eps[m - 1]:
@@ -202,21 +205,21 @@ class TestSimulate:
 
     def test_reinforced_walk_of_unit_masses_is_deterministic(self):
         # constant step draws make the reinforced sum exactly the step index
-        run = simulate_seeded(250, Fraction(1, 2), StepLaw.dirac(1), 8)
+        run = simulate(250, Fraction(1, 2), StepLaw.dirac(1), 8)
         assert run.s_hat.tolist() == list(range(1, 251))
 
     def test_determinism(self):
-        a = simulate_seeded(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 77)
-        b = simulate_seeded(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 77)
+        a = simulate(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 77)
+        b = simulate(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 77)
         assert np.array_equal(a.s_check, b.s_check)
         assert np.array_equal(a.eps, b.eps) and np.array_equal(a.v, b.v) and np.array_equal(a.x, b.x)
-        c = simulate_seeded(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 78)
+        c = simulate(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 78)
         assert not np.array_equal(c.s_check, a.s_check)
 
     def test_float_partial_sums_are_compensated(self):
         # within one ulp of the correctly rounded prefix sums, which a plain
         # float64 running sum misses by many ulps at this length
-        run = simulate_seeded(20_000, Fraction(1, 2), StepLaw.gaussian(0, 1), 12)
+        run = simulate(20_000, Fraction(1, 2), StepLaw.gaussian(0, 1), 12)
         walks = ((run.s_check, run.x_check), (run.s_hat, run.x[run.tree_id - 1]))
         for sums, steps in walks:
             for k in (1, 777, 20_000):
@@ -226,7 +229,7 @@ class TestSimulate:
 
     def test_lattice_laws_stay_exact(self):
         law = StepLaw.dirac(Fraction(1, 3))
-        run = simulate_seeded(500, Fraction(1, 2), law, 6)
+        run = simulate(500, Fraction(1, 2), law, 6)
         steps = [Fraction(1, 3) * (-1 if par else 1) for par in run.parity]
         assert run.final_check == sum(steps)
         assert isinstance(run.final_check, (int, Fraction))
@@ -244,7 +247,7 @@ class TestForestCensus:
     )
     @settings(max_examples=40, deadline=None)
     def test_counting_invariants(self, seed, p, n):
-        run = simulate_seeded(n, p, StepLaw.rademacher(), seed)
+        run = simulate(n, p, StepLaw.rademacher(), seed)
         census = forest_census(run, shape_cap=4)
         assert sum(k * cnt for k, cnt in census.nu.items()) == n
         assert sum(census.nu.values()) == run.innovations
@@ -258,7 +261,7 @@ class TestForestCensus:
             assert shape_total == census.nu.get(k, 0)
 
     def test_deltas_bounded_by_sizes(self):
-        run = simulate_seeded(500, Fraction(1, 3), StepLaw.dirac(1), 5)
+        run = simulate(500, Fraction(1, 3), StepLaw.dirac(1), 5)
         census = forest_census(run)
         for size, delta in zip(census.occurrences, census.delta_per_tree):
             assert abs(delta) <= size
@@ -266,7 +269,7 @@ class TestForestCensus:
 
     def test_singleton_fraction_near_limit(self):
         n = 100_000
-        run = simulate_seeded(n, Fraction(1, 2), StepLaw.dirac(1), 17)
+        run = simulate(n, Fraction(1, 2), StepLaw.dirac(1), 17)
         census = forest_census(run, shape_cap=1)
         nu1 = census.nu.get(1, 0)
         # crude Poisson-scale band around n/3
@@ -277,7 +280,7 @@ class TestForestCensus:
         # (k-1)! increasing shapes of that size
         from scipy.stats import chisquare
 
-        run = simulate_seeded(100_000, Fraction(1, 2), StepLaw.dirac(1), 4242)
+        run = simulate(100_000, Fraction(1, 2), StepLaw.dirac(1), 4242)
         census = forest_census(run, shape_cap=4)
         for k in (3, 4):
             counts = [cnt for seq, cnt in census.nu_shape.items() if len(seq) + 1 == k]
@@ -289,12 +292,12 @@ class TestForestCensus:
 class TestDecompose:
     def test_reconstructs_exactly_for_exact_laws(self):
         for law in (StepLaw.dirac(1), StepLaw.rademacher(), StepLaw.dirac(Fraction(1, 2))):
-            run = simulate_seeded(400, Fraction(1, 3), law, 2)
+            run = simulate(400, Fraction(1, 3), law, 2)
             parts = decompose(run)
             assert sum(parts.values()) == run.final_check
 
     def test_reconstructs_to_tolerance_for_float_laws(self):
-        run = simulate_seeded(10_000, Fraction(1, 2), StepLaw.gaussian(0, 1), 3)
+        run = simulate(10_000, Fraction(1, 2), StepLaw.gaussian(0, 1), 3)
         parts = decompose(run)
         gap = abs(sum(parts.values()) - run.final_check)
         assert gap <= 1e-9 * (1 + abs(run.final_check))
@@ -302,7 +305,7 @@ class TestDecompose:
     def test_pair_component_vanishes(self):
         # two-vertex trees have one even and one odd vertex, so they cancel
         for seed in range(5):
-            run = simulate_seeded(300, Fraction(1, 2), StepLaw.gaussian(0, 1), seed)
+            run = simulate(300, Fraction(1, 2), StepLaw.gaussian(0, 1), seed)
             parts = decompose(run)
             if 2 in parts:
                 assert parts[2] == 0
@@ -312,12 +315,12 @@ class TestRepresentationResidual:
     def test_exact_laws_have_zero_residual(self):
         for law in (StepLaw.dirac(1), StepLaw.rademacher()):
             for seed in range(5):
-                run = simulate_seeded(2000, Fraction(1, 4), law, seed)
+                run = simulate(2000, Fraction(1, 4), law, seed)
                 assert representation_residual(run) == 0
 
     def test_float_laws_stay_below_relative_band(self):
         for seed in range(3):
-            run = simulate_seeded(20_000, Fraction(1, 2), StepLaw.gaussian(0, 1), seed)
+            run = simulate(20_000, Fraction(1, 2), StepLaw.gaussian(0, 1), seed)
             res = float(representation_residual(run))
             assert res <= 1e-9 * (1 + abs(float(run.final_check)))
 
