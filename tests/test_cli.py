@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import counterwalk
 from counterwalk.cli import ExperimentConfig, main
 
 
@@ -233,29 +234,26 @@ class TestExperimentConfig:
         assert out_a == out_b
 
 
+SRC = os.path.dirname(os.path.dirname(counterwalk.__file__))
+
+
+def run_python(*args, timeout=60):
+    """A fresh interpreter on the package sources; returns the finished process."""
+    return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=timeout)
+
+
 def test_cli_import_loads_neither_scipy_nor_a_process_pool():
     # start-up cost of every command: scipy is imported only by the checks
     # that need it, and replicas run in-process
-    import counterwalk
-
-    src = os.path.dirname(os.path.dirname(counterwalk.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     probe = "import sys, counterwalk.cli; print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    assert out.stdout.strip() == "[]"
+    assert run_python("-c", probe).stdout.strip() == "[]"
 
 
 def test_exact_layer_imports_without_numpy_and_package_loads_no_submodule():
-    import counterwalk
-
-    src = os.path.dirname(os.path.dirname(counterwalk.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, counterwalk; loaded = sorted(m for m in sys.modules if m.startswith('counterwalk.')); "
              "import counterwalk.eulerian; print(loaded, 'numpy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    assert out.stdout.strip() == "[] False"
+    assert run_python("-c", probe).stdout.strip() == "[] False"
 
 
 @pytest.mark.parametrize("script, args, header", [
@@ -263,26 +261,14 @@ def test_exact_layer_imports_without_numpy_and_package_loads_no_submodule():
     ("clt_profile.py", ["--n", "200", "--reps", "200"], "quantile,empirical,gaussian"),
 ])
 def test_script_runs(script, args, header):
-    import counterwalk
-
-    src = os.path.dirname(os.path.dirname(counterwalk.__file__))
-    path = os.path.join(os.path.dirname(src), "scripts", script)
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, path, *args], env=env, capture_output=True, text=True,
-                         timeout=120)
+    out = run_python(os.path.join(os.path.dirname(SRC), "scripts", script), *args, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0] == header
 
 
 def test_ks_check_runs_without_scipy():
     # numpy is the only runtime dependency: the Gaussian cdf comes from math.erfc
-    import counterwalk
-
-    src = os.path.dirname(os.path.dirname(counterwalk.__file__))
-    env = dict(os.environ, PYTHONPATH=src)
     probe = ("import sys, numpy as np; from counterwalk.verify import ks_normal; "
              "r = ks_normal(np.random.default_rng(0).normal(size=500), 0.0, 1.0); "
              "print(r.passed, 'scipy' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
-                         timeout=60, check=True)
-    assert out.stdout.strip() == "True False"
+    assert run_python("-c", probe).stdout.strip() == "True False"
