@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Union
 
 from .eulerian import delta_moment, odd_count_pmf
-from .recursive_tree import Tree, increasing_tree_deltas
+from .recursive_tree import increasing_tree_deltas
 
 Number = Union[int, float, Fraction]
 
@@ -147,12 +147,14 @@ def exact_mean(n: int, p: Number, m1: Number) -> Fraction:
     return velocity(p, m1) * n + correction
 
 
-def tree_freq_limit(tau: Tree, p: Number) -> Fraction:
-    """Limit of ``nu_tau(n) / n`` for a fixed increasing tree shape:
-    ``p / ((1-p) (1+rho)^(rising |tau|))``."""
+def tree_freq_limit(size: int, p: Number) -> Fraction:
+    """Limit of ``nu_tau(n) / n`` for any fixed increasing tree shape ``tau``
+    with ``size`` vertices: ``p / ((1-p) (1+rho)^(rising size))``."""
+    if size < 1:
+        raise ValueError("tree size must be >= 1")
     p = _frac(p, "p")
     _check_open01(p)
-    return p / ((1 - p) * rising_factorial(1 + rho_of(p), tau.size))
+    return p / ((1 - p) * rising_factorial(1 + rho_of(p), size))
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from .acceptance import DEFAULT_SEED, run_all
 from .eulerian import ExactPmf, delta_pmf, eulerian_row, odd_count_pmf
 from .recursive_tree import sample_odd_counts
 from .replication import replica_seeds, run_replicas
-from .verify import BRUTE_FORCE_MAX_N, brute_force_walk_pmf
+from .verify import brute_force_walk_pmf
 from .walk_engine import StepLaw, forest_census, parse_mu_spec, simulate
 
 
@@ -183,12 +183,12 @@ def _cmd_exact(args) -> int:
     else:  # walk-oracle
         p = _parse_prob(args.p)
         law = _parse_law(args.mu)
-        if args.n > BRUTE_FORCE_MAX_N:
-            raise CapError(f"--n is capped at {BRUTE_FORCE_MAX_N} for the exhaustive oracle")
-        if law.discrete_support is None or len(law.discrete_support) > 2:
-            raise CapError("the exhaustive oracle needs a discrete step law with at most 2 values")
         config = _config("exact-walk-oracle", n=args.n, p=p, mu=law.spec_string())
-        rows = _pmf_rows(brute_force_walk_pmf(args.n, p, law))
+        try:
+            pmf = brute_force_walk_pmf(args.n, p, law)
+        except ValueError as exc:  # horizon cap or a law off {+c, -c}
+            raise CapError(str(exc)) from None
+        rows = _pmf_rows(pmf)
         lines = ["value,numerator,denominator", _comment_line(config, None)]
     lines.extend(f"{v},{num},{den}" for v, num, den in rows)
     _emit(lines, args.out)

@@ -1,6 +1,6 @@
-"""Random recursive / increasing trees: sampling, enumeration, parity census.
+"""Random recursive / increasing trees: sampling and parity census.
 
-A tree on vertices ``1..k`` is stored as the parent sequence
+A tree on vertices ``1..k`` is given by its parent sequence
 ``(par(2), ..., par(k))`` with ``par(j) < j``; vertex 1 is the root.  That
 sequence *is* the canonical identity of an increasing tree, so shape
 statistics are plain dictionary lookups and no isomorphism test ever runs.
@@ -10,9 +10,6 @@ innovations, on numpy generators.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .walk_engine import _BLOCK_CELLS, _picks, forest
@@ -21,63 +18,19 @@ from .walk_engine import _BLOCK_CELLS, _picks, forest
 ENUMERATION_CAP = 9
 
 
-@dataclass(frozen=True)
-class Tree:
-    """Increasing tree given by its parent sequence ``(par(2)..par(k))``."""
+def increasing_tree_deltas(k: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
+    """``even - odd`` of every increasing tree of size ``k``, in
+    lexicographic order of the parent sequences.
 
-    parents: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for i, par in enumerate(self.parents):
-            if not 1 <= par <= i + 1:
-                raise ValueError(f"parent of vertex {i + 2} must lie in 1..{i + 1}")
-
-    @property
-    def size(self) -> int:
-        return len(self.parents) + 1
-
-
-def parity_profile(tree: Tree) -> tuple[int, int, int]:
-    """Census ``(even, odd, delta)`` of depth parities, ``delta = even - odd``.
-
-    One forward pass suffices because parents precede children; no
-    recursion, so arbitrarily deep trees are fine.
+    The depth parities of all ``(k-1)!`` trees grow one vertex at a time as
+    the rows of an int8 matrix, each row followed by its ``j - 1``
+    extensions with vertex ``j`` hung below vertex ``1 .. j-1`` in turn.
+    Refuses ``k > cap`` (factorial blow-up).
     """
-    k = tree.size
-    parity = [0] * (k + 1)
-    for j, par in enumerate(tree.parents, start=2):
-        parity[j] = parity[par] ^ 1
-    odd = sum(parity[1:])
-    even = k - odd
-    return even, odd, even - odd
-
-
-def _check_enumerable(k: int, cap: int) -> None:
     if k < 1:
         raise ValueError("tree size must be >= 1")
     if k > cap:
         raise ValueError(f"enumeration of size {k} exceeds the cap {cap}")
-
-
-def enumerate_increasing_trees(k: int, cap: int = ENUMERATION_CAP) -> list[Tree]:
-    """All ``(k-1)!`` increasing trees of size ``k`` in lexicographic order
-    of their parent sequences.  Refuses ``k > cap`` (factorial blow-up)."""
-    _check_enumerable(k, cap)
-    if k == 1:
-        return [Tree(())]
-    return [Tree(seq) for seq in itertools.product(*(range(1, j) for j in range(2, k + 1)))]
-
-
-def increasing_tree_deltas(k: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """``even - odd`` of every increasing tree of size ``k``, in the order of
-    `enumerate_increasing_trees` (lexicographic in the parent sequence).
-
-    Builds no `Tree`: the depth parities of all trees grow one vertex at a
-    time as the rows of an int8 matrix, each row followed by its ``j - 1``
-    extensions with vertex ``j`` hung below vertex ``1 .. j-1`` in turn.
-    Same cap and errors as `enumerate_increasing_trees`.
-    """
-    _check_enumerable(k, cap)
     parity = np.zeros((1, 1), dtype=np.int8)
     for j in range(2, k + 1):
         rows = len(parity)

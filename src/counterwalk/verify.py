@@ -1,9 +1,10 @@
-"""Exact brute-force oracles and statistical acceptance machinery.
+"""Exact walk oracle and statistical acceptance machinery.
 
-The exhaustive oracle enumerates every trajectory of the walk recursion on
-tiny horizons with exact rational weights; it shares no code with the
-simulator beyond the step-law description, which is what makes the
-agreement checks meaningful.
+The walk oracle gives the exact law of the position for step laws on
+``{+c, -c}`` as a Markov chain on the number of ``+c`` steps, with integer
+weights over one common denominator, up to ``n = 1000``.  It shares no
+code with the simulator beyond the step-law description, which is what
+makes the agreement checks meaningful.
 
 Statistical checks use fixed generous bands with pinned seeds:
 z-tests at 3 or 4 estimator sd, relative-error bands on sample
@@ -16,12 +17,10 @@ documented heuristic, not a calibrated finite-sample test.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -36,8 +35,8 @@ KS_BAND = 1.63
 #: Default z-score band for moment checks.
 Z_BAND = 4.0
 
-BRUTE_FORCE_MAX_N = 7
-BRUTE_FORCE_MAX_SUPPORT = 2
+#: Largest horizon of the walk oracle (its denominator has about n log2 n bits).
+WALK_ORACLE_MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -76,92 +75,46 @@ def make_report(
     )
 
 
-@lru_cache(maxsize=None)
-def _walk_structures(n: int) -> tuple[tuple[int, tuple[int, ...], Fraction], ...]:
-    """Exhaustive law of the genealogical forest at horizon ``n``.
-
-    Enumerates every innovation pattern (first step fixed as innovation)
-    and every attachment choice, and aggregates the exact probability
-    weight of each ``(innovation count, sorted per-tree parity deltas)``
-    class.  The innovation-bit probabilities are factored out so one
-    enumeration serves every ``p``.
-    """
-    acc: dict[tuple[int, tuple[int, ...]], Fraction] = {}
-    if n == 1:
-        acc[(1, (1,))] = Fraction(1)
-    else:
-        for bits in itertools.product((0, 1), repeat=n - 1):
-            cb_steps = [m for m, bit in zip(range(2, n + 1), bits) if bit == 0]
-            weight_v = Fraction(1, math.prod(m - 1 for m in cb_steps)) if cb_steps else Fraction(1)
-            innovations = 1 + sum(bits)
-            for parents in itertools.product(*(range(1, m) for m in cb_steps)):
-                pick = dict(zip(cb_steps, parents))
-                tree = [1]
-                parity = [0]
-                deltas = [1]
-                trees = 1
-                for m, bit in zip(range(2, n + 1), bits):
-                    if bit:
-                        trees += 1
-                        tree.append(trees)
-                        parity.append(0)
-                        deltas.append(1)
-                    else:
-                        u = pick[m]
-                        t = tree[u - 1]
-                        par = parity[u - 1] ^ 1
-                        tree.append(t)
-                        parity.append(par)
-                        deltas[t - 1] += 1 - 2 * par
-                key = (innovations, tuple(sorted(deltas)))
-                acc[key] = acc.get(key, Fraction(0)) + weight_v
-    return tuple((i, ms, w) for (i, ms), w in sorted(acc.items()))
-
-
-@lru_cache(maxsize=None)
-def _delta_convolution(
-    deltas: tuple[int, ...],
-    support: tuple[Number, ...],
-    probs: tuple[Fraction, ...],
-) -> tuple[tuple[Number, Fraction], ...]:
-    """Exact law of ``sum_j deltas[j] * X_j`` for i.i.d. finite-support X."""
-    dist: dict[Number, Fraction] = {0: Fraction(1)}
-    for d in deltas:
-        nxt: dict[Number, Fraction] = {}
-        for value, w in dist.items():
-            for s, q in zip(support, probs):
-                key = value + d * s
-                nxt[key] = nxt.get(key, Fraction(0)) + w * q
-        dist = nxt
-    return tuple(sorted(dist.items()))
-
-
 def brute_force_walk_pmf(n: int, p: Number, law: StepLaw) -> ExactPmf:
-    """Exact law of the counterbalanced position at horizon ``n`` by
-    exhaustive enumeration (independent of the simulator).
+    """Exact law of the counterbalanced position at horizon ``n`` for a step
+    law on ``{+c, -c}``, by the position chain.
 
-    Capped at ``n <= 7`` and two-point step supports; beyond that the
-    weighted path space blows up.
+    Step 1 is ``+c`` with probability ``q``, the law's mass on ``+c`` (its
+    last support value; the chain is the same with the roles swapped).  A
+    counterbalancing step negates a uniform earlier step, so when ``j`` of
+    the ``k = m - 1`` earlier steps are ``+c``, step ``m`` is ``+c`` with
+    probability ``p q + (1 - p) (k - j) / k``.  The chain on ``(m, j)``
+    carries integer weights over one common denominator; the position is
+    ``c (2 j - n)``.  It shares no code with the simulator's `forest` and
+    enumerates no path, which keeps it an independent oracle.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    if n > BRUTE_FORCE_MAX_N:
-        raise ValueError(f"exhaustive oracle capped at n <= {BRUTE_FORCE_MAX_N}")
+    if n > WALK_ORACLE_MAX_N:
+        raise ValueError(f"walk oracle capped at n <= {WALK_ORACLE_MAX_N}")
     if law.discrete_support is None or law.discrete_probs is None:
-        raise ValueError("exhaustive oracle needs a finitely supported step law")
-    if len(law.discrete_support) > BRUTE_FORCE_MAX_SUPPORT:
-        raise ValueError(f"exhaustive oracle capped at support size {BRUTE_FORCE_MAX_SUPPORT}")
+        raise ValueError("walk oracle needs a finitely supported step law")
+    c = law.discrete_support[-1]
+    if any(abs(v) != abs(c) for v in law.discrete_support):
+        raise ValueError("walk oracle needs a step law on {+c, -c}")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
+    q = law.discrete_probs[-1]
 
+    # w[j]: weight of j steps +c among the first m, over s * (b s)**(m-1) * (m-1)!
+    a, b = p.numerator, p.denominator
+    r, s = q.numerator, q.denominator
+    w = [s - r, r]
+    for k in range(1, n):
+        up = [a * r * k + (b - a) * s * (k - j) for j in range(k + 1)]
+        down = [b * s * k - u for u in up]
+        w = [x * d + y * u for x, d, y, u in zip(w + [0], down + [0], [0] + w, [0] + up)]
+    den = s * (b * s) ** (n - 1) * math.factorial(n - 1)
     out: dict[Number, Fraction] = {}
-    for innovations, deltas, weight in _walk_structures(n):
-        eps_weight = p ** (innovations - 1) * (1 - p) ** (n - innovations)
-        if eps_weight == 0:
-            continue
-        for value, q in _delta_convolution(deltas, law.discrete_support, law.discrete_probs):
-            out[value] = out.get(value, Fraction(0)) + eps_weight * weight * q
+    for j, x in enumerate(w):
+        value = c * (2 * j - n)
+        out[value] = out.get(value, 0) + Fraction(x, den)
     return ExactPmf.from_mapping(out)
 
 

@@ -43,7 +43,7 @@ class StepLaw:
 
     ``m1``/``m2`` are present iff analytically finite, as exact rationals.
     ``discrete_support``/``discrete_probs`` are set only for finitely
-    supported laws (they feed the exhaustive oracle).
+    supported laws (they feed the exact walk oracle).
     """
 
     kind: str

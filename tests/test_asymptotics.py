@@ -25,7 +25,6 @@ from counterwalk.asymptotics import (
     yule_simon_series,
 )
 from counterwalk.eulerian import delta_moment
-from counterwalk.recursive_tree import Tree, enumerate_increasing_trees
 
 HALF = Fraction(1, 2)
 
@@ -193,22 +192,25 @@ class TestExactMean:
 class TestTreeFreqLimit:
     def test_singleton_matches_velocity_scale(self):
         for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
-            assert tree_freq_limit(Tree(()), p) == p / (2 - p)
+            assert tree_freq_limit(1, p) == p / (2 - p)
 
     def test_pair_shape(self):
         for p in (Fraction(1, 4), HALF):
             expected = p * (1 - p) / ((2 - p) * (3 - 2 * p))
-            assert tree_freq_limit(Tree((1,)), p) == expected
+            assert tree_freq_limit(2, p) == expected
 
     def test_shapes_of_fixed_size_recover_size_frequency(self):
+        # the (k-1)! increasing shapes of size k share one limit
         p = Fraction(2, 5)
         for k in range(1, 7):
-            total = sum(tree_freq_limit(t, p) for t in enumerate_increasing_trees(k))
+            total = math.factorial(k - 1) * tree_freq_limit(k, p)
             assert total == p * yule_simon_pmf(k, p)
 
     def test_rejects_boundary(self):
         with pytest.raises(ValueError):
-            tree_freq_limit(Tree(()), 1)
+            tree_freq_limit(1, 1)
+        with pytest.raises(ValueError):
+            tree_freq_limit(0, HALF)
 
 
 class TestStableExponent:

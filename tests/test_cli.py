@@ -36,12 +36,41 @@ class TestExactCommands:
         assert code == 0
         assert out.strip().splitlines()[2:] == ["0,1,2", "2,1,2"]
 
+    def test_walk_oracle_bytes_are_pinned(self, capsys):
+        # captured from the exhaustive enumerator that the position chain replaced
+        code, out, _ = run_cli(
+            capsys, "exact", "walk-oracle", "--n", "7", "--p", "1/3", "--mu", "rademacher"
+        )
+        assert code == 0
+        assert out == (
+            "value,numerator,denominator\n"
+            "# counterwalk=0.1.0 config=2d683bbbf9f9\n"
+            "-7,9,839808\n"
+            "-5,4935,839808\n"
+            "-3,89413,839808\n"
+            "-1,325547,839808\n"
+            "1,325547,839808\n"
+            "3,89413,839808\n"
+            "5,4935,839808\n"
+            "7,9,839808\n"
+        )
+
     def test_walk_oracle_cap_exit_code(self, capsys):
         code, _, err = run_cli(
-            capsys, "exact", "walk-oracle", "--n", "8", "--p", "1/2", "--mu", "dirac:1"
+            capsys, "exact", "walk-oracle", "--n", "1001", "--p", "1/2", "--mu", "dirac:1"
         )
         assert code == 3
         assert "capped" in err
+
+    def test_walk_oracle_far_horizon_rows_share_a_denominator(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "exact", "walk-oracle", "--n", "200", "--p", "1/3", "--mu", "rademacher"
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.strip().splitlines()[2:]]
+        assert len({den for _, _, den in rows}) == 1
+        assert sum(int(num) for _, num, _ in rows) == int(rows[0][2])
+        assert [int(v) for v, _, _ in rows] == list(range(-200, 201, 2))
 
     def test_walk_oracle_rejects_continuous_law(self, capsys):
         code, _, err = run_cli(

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -8,15 +10,51 @@ from hypothesis import strategies as st
 
 from counterwalk.eulerian import delta_moment, odd_count_pmf
 from counterwalk.recursive_tree import (
-    Tree,
-    enumerate_increasing_trees,
+    ENUMERATION_CAP,
     increasing_tree_deltas,
-    parity_profile,
     sample_odd_counts,
     tanny_sample_batch,
 )
 from counterwalk.walk_engine import _BLOCK_CELLS
 from counterwalk.verify import tv_distance
+
+
+# Tree-by-tree reference for `increasing_tree_deltas`: one `Tree` per parent
+# sequence and a forward parity pass over it.
+
+
+@dataclass(frozen=True)
+class Tree:
+    """Increasing tree given by its parent sequence ``(par(2)..par(k))``."""
+
+    parents: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        for i, par in enumerate(self.parents):
+            if not 1 <= par <= i + 1:
+                raise ValueError(f"parent of vertex {i + 2} must lie in 1..{i + 1}")
+
+    @property
+    def size(self) -> int:
+        return len(self.parents) + 1
+
+
+def parity_profile(tree: Tree) -> tuple[int, int, int]:
+    """Census ``(even, odd, delta)`` of depth parities, ``delta = even - odd``."""
+    k = tree.size
+    parity = [0] * (k + 1)
+    for j, par in enumerate(tree.parents, start=2):
+        parity[j] = parity[par] ^ 1
+    odd = sum(parity[1:])
+    return k - odd, odd, k - 2 * odd
+
+
+def enumerate_increasing_trees(k: int, cap: int = ENUMERATION_CAP) -> list[Tree]:
+    """All ``(k-1)!`` increasing trees of size ``k`` in lexicographic order
+    of their parent sequences."""
+    if not 1 <= k <= cap:
+        raise ValueError(f"tree size {k} outside 1..{cap}")
+    return [Tree(seq) for seq in itertools.product(*(range(1, j) for j in range(2, k + 1)))]
 
 
 def _hist(values):

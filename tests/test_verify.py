@@ -1,6 +1,8 @@
+import itertools
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -8,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterwalk.asymptotics import exact_mean
-from counterwalk.eulerian import delta_pmf, odd_count_pmf
+from counterwalk.eulerian import ExactPmf, delta_pmf, odd_count_pmf
 from counterwalk.verify import (
+    WALK_ORACLE_MAX_N,
     CheckReport,
     brute_force_walk_pmf,
     empirical_cf,
@@ -18,10 +21,75 @@ from counterwalk.verify import (
     moment_check,
     tv_distance,
 )
-from counterwalk.walk_engine import StepLaw
+from counterwalk.walk_engine import StepLaw, parse_mu_spec
 
 HALF = Fraction(1, 2)
 P_GRID = (Fraction(0), Fraction(1, 4), HALF, Fraction(3, 4), Fraction(1))
+
+
+# Exhaustive reference for the position chain: every innovation pattern and
+# every attachment choice at n <= 7, then each tree's parity delta convolved
+# with the step law.
+
+
+@lru_cache(maxsize=None)
+def _walk_structures(n):
+    """Exact weight of each ``(innovation count, sorted per-tree parity
+    deltas)`` class, with the innovation-bit probabilities factored out."""
+    acc = {}
+    if n == 1:
+        acc[(1, (1,))] = Fraction(1)
+    else:
+        for bits in itertools.product((0, 1), repeat=n - 1):
+            cb_steps = [m for m, bit in zip(range(2, n + 1), bits) if bit == 0]
+            weight_v = Fraction(1, math.prod(m - 1 for m in cb_steps)) if cb_steps else Fraction(1)
+            innovations = 1 + sum(bits)
+            for parents in itertools.product(*(range(1, m) for m in cb_steps)):
+                pick = dict(zip(cb_steps, parents))
+                tree = [1]
+                parity = [0]
+                deltas = [1]
+                trees = 1
+                for m, bit in zip(range(2, n + 1), bits):
+                    if bit:
+                        trees += 1
+                        tree.append(trees)
+                        parity.append(0)
+                        deltas.append(1)
+                    else:
+                        u = pick[m]
+                        t = tree[u - 1]
+                        par = parity[u - 1] ^ 1
+                        tree.append(t)
+                        parity.append(par)
+                        deltas[t - 1] += 1 - 2 * par
+                key = (innovations, tuple(sorted(deltas)))
+                acc[key] = acc.get(key, Fraction(0)) + weight_v
+    return sorted(acc.items())
+
+
+def _delta_convolution(deltas, support, probs):
+    """Exact law of ``sum_j deltas[j] * X_j`` for i.i.d. finite-support X."""
+    dist = {0: Fraction(1)}
+    for d in deltas:
+        nxt = {}
+        for value, w in dist.items():
+            for s, q in zip(support, probs):
+                key = value + d * s
+                nxt[key] = nxt.get(key, Fraction(0)) + w * q
+        dist = nxt
+    return dist.items()
+
+
+def enumerated_walk_pmf(n, p, law):
+    out = {}
+    for (innovations, deltas), weight in _walk_structures(n):
+        eps_weight = p ** (innovations - 1) * (1 - p) ** (n - innovations)
+        if eps_weight == 0:
+            continue
+        for value, q in _delta_convolution(deltas, law.discrete_support, law.discrete_probs):
+            out[value] = out.get(value, Fraction(0)) + eps_weight * weight * q
+    return ExactPmf.from_mapping(out)
 
 
 class TestBruteForce:
@@ -49,25 +117,54 @@ class TestBruteForce:
         }
 
     def test_no_innovation_reduces_to_parity_law(self):
-        for n in range(1, 8):
+        # p = 0 is one random recursive tree: the Eulerian parity law
+        for n in range(1, 121):
             pmf = brute_force_walk_pmf(n, Fraction(0), StepLaw.dirac(1))
-            assert dict(pmf.items()) == dict(delta_pmf(n).items())
+            assert pmf == delta_pmf(n)
+
+    def test_all_innovations_are_iid_steps(self):
+        for n in (1, 2, 7, 50):
+            pmf = brute_force_walk_pmf(n, Fraction(1), StepLaw.rademacher())
+            binomial = {2 * j - n: Fraction(math.comb(n, j), 2**n) for j in range(n + 1)}
+            assert dict(pmf.items()) == binomial
+            for c in (1, Fraction(1, 2), -2):
+                point = brute_force_walk_pmf(n, Fraction(1), StepLaw.dirac(c))
+                assert dict(point.items()) == {n * c: 1}
 
     def test_mean_matches_exact_recursion(self):
-        for n in range(1, 7):
+        for n in (*range(1, 7), 100, 300):
             for p in P_GRID:
                 for law in (StepLaw.dirac(1), StepLaw.rademacher()):
                     assert brute_force_walk_pmf(n, p, law).mean() == exact_mean(n, p, law.m1)
+
+    def test_chain_matches_enumeration(self):
+        # 7 horizons x 6 values of p x 5 laws = 210 cases
+        ps = (Fraction(0), Fraction(1, 4), Fraction(1, 3), HALF, Fraction(3, 4), Fraction(1))
+        laws = [parse_mu_spec(spec) for spec in ("dirac:1", "dirac:1/2", "dirac:-2", "dirac:0", "rademacher")]
+        for n in range(1, 8):
+            for p in ps:
+                for law in laws:
+                    chain = brute_force_walk_pmf(n, p, law)
+                    reference = enumerated_walk_pmf(n, p, law)
+                    assert chain == reference, (n, p, law.spec_string())
+                    assert [type(v) for v in chain.values] == [type(v) for v in reference.values]
 
     def test_scaled_point_mass_support(self):
         pmf = brute_force_walk_pmf(2, HALF, StepLaw.dirac(Fraction(1, 2)))
         assert dict(pmf.items()) == {0: HALF, 1: HALF}
 
     def test_caps(self):
-        with pytest.raises(ValueError):
-            brute_force_walk_pmf(8, HALF, StepLaw.dirac(1))
+        n = WALK_ORACLE_MAX_N
+        assert n == 1000
+        pmf = brute_force_walk_pmf(n, HALF, StepLaw.dirac(1))
+        assert sum(pmf.probs) == 1
+        assert pmf.mean() == exact_mean(n, HALF, 1)
+        with pytest.raises(ValueError, match="capped"):
+            brute_force_walk_pmf(n + 1, HALF, StepLaw.dirac(1))
         with pytest.raises(ValueError):
             brute_force_walk_pmf(3, HALF, StepLaw.uniform_symmetric())
+        with pytest.raises(ValueError, match="on {\\+c, -c}"):
+            brute_force_walk_pmf(3, HALF, StepLaw("custom", (), HALF, HALF, (0, 1), (HALF, HALF)))
         with pytest.raises(ValueError):
             brute_force_walk_pmf(0, HALF, StepLaw.dirac(1))
 
