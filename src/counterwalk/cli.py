@@ -10,7 +10,7 @@ Subcommands::
     sample rrt --n N --reps M --seed S [--out FILE]
     limits --p P --mu SPEC [--kmax K]
     limits stable --alpha A --p P --theta T [--kmax K] [--phi1 F]
-    verify all [--seed S] [--fast]
+    verify all [--seed S] [--fast]    (per-criterion times and margins on stderr)
 
 Exact quantities are emitted as ``numerator/denominator`` strings, never
 floats; floats appear only in simulation summaries.  Every CSV output
@@ -294,7 +294,10 @@ def _cmd_limits_stable(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    """Reports go to stdout, one JSON line each, byte-identical run over run;
+    per-criterion wall time and worst margin go to stderr."""
     failures = 0
+    worst = None
 
     def emit(report) -> None:
         nonlocal failures
@@ -303,7 +306,16 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(report.to_json() + "\n")
         sys.stdout.flush()
 
-    run_all(seed=args.seed, fast=args.fast, emit=emit)
+    def done(cid, reports, seconds) -> None:
+        nonlocal worst
+        top = max(reports, key=lambda r: r.margin)
+        if worst is None or top.margin > worst.margin:
+            worst = top
+        sys.stderr.write(f"{cid} {seconds:.3f} s, worst margin {top.margin:.4f} {top.name}\n")
+
+    run_all(seed=args.seed, fast=args.fast, emit=emit, done=done)
+    if worst is not None:
+        sys.stderr.write(f"worst margin {worst.margin:.4f} {worst.name}, {failures} failed\n")
     return 1 if failures else 0
 
 

@@ -56,6 +56,15 @@ class CheckReport:
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, default=str)
 
+    @property
+    def margin(self) -> float:
+        """``value / threshold``: below 1 passes.  An exact identity
+        (threshold 0) counts 0 when it holds and infinity when it fails; a
+        report-only entry (infinite threshold) counts 0."""
+        if self.threshold > 0:
+            return self.value / self.threshold
+        return 0.0 if self.value == 0 else math.inf
+
 
 def make_report(
     name: str,

@@ -121,7 +121,9 @@ class StepLaw:
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws as float64 (an exact law's draws are its lattice
-        step, rounded to float, times `sample_units`)."""
+        step, rounded to float, times `sample_units`).  Draws are consumed
+        one step at a time, so the first ``k`` of ``size`` draws equal
+        ``sample_batch(rng, k)`` from the same generator state."""
         if self.exact:
             return float(self.lattice_step) * self.sample_units(rng, size)
         if self.kind == "uniform":
@@ -129,11 +131,11 @@ class StepLaw:
         if self.kind == "gauss":
             mean, var = self.params
             return rng.normal(float(mean), math.sqrt(float(var)), size=size)
-        # in place: a full-scale batch holds millions of draws
-        x = rng.random(size)
-        np.subtract(1.0, x, out=x)
+        # one (magnitude, sign) uniform pair per step
+        u = rng.random((size, 2))
+        x = np.subtract(1.0, u[:, 0])
         x **= -1.0 / float(self.params[0])
-        np.negative(x, out=x, where=rng.integers(0, 2, size=size) == 0)
+        np.negative(x, out=x, where=u[:, 1] < 0.5)
         return x
 
 
@@ -429,12 +431,20 @@ def simulate_batch(
     """High-throughput final-value runner, vectorized across replicas.
 
     Each replica follows the same recursion as `simulate`.  Replicas run in
-    chunks; each chunk draws from its own substream (seeded by an avalanche
-    mix of ``seed`` and the chunk index) three ``(n, rows_in_chunk)``
-    matrices in turn: innovation uniforms, pick uniforms, fresh steps.
-    Results are deterministic for fixed arguments, but a replica's draws
-    depend on how many replicas share its chunk, so changing ``reps``
-    changes every replica's result, the shared ones included.
+    blocks of ``W = max(1, _BLOCK_CELLS // n)``.  Block ``b`` draws from
+    ``np.random.SeedSequence(child_seed(seed, b))``, replica by replica,
+    ``n`` innovation uniforms and then ``n`` pick uniforms; that sequence's
+    first spawned child then draws one fresh step per innovation, in
+    replica and step order.  A replica's final value is the forest form
+    ``sum over its trees of delta(tree) * draw``, added up in step order.
+
+    Prefix stability: ``W`` depends on ``n`` only, and a short last block
+    draws a prefix of what a full block would, so the first ``k`` replicas
+    of any run equal the run with ``reps = k``, bit for bit.
+
+    Bounded memory: besides the two ``reps``-long outputs, a call holds the
+    arrays of one block, about ``max(n, _BLOCK_CELLS)`` cells, at a time,
+    however large ``reps`` is.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -447,33 +457,26 @@ def simulate_batch(
 
     s_check = np.empty(reps)
     nu1 = np.empty(reps, dtype=np.int64) if census else None
-
-    # layout is (step, replica); the chunk budget keeps a chunk's draws
-    # well under a gigabyte
-    chunk_rows = max(1, min(65536, (1 << 24) // n))
-    block = max(1, _BLOCK_CELLS // n)
-    for ci, start in enumerate(range(0, reps, chunk_rows)):
-        stop = min(start + chunk_rows, reps)
-        rows_n = stop - start
-        rng = np.random.default_rng(child_seed(seed, ci))
-        eps_mat = rng.random((n, rows_n)) < pf
-        u_att = rng.random((n, rows_n))
-        xval = law.sample_batch(rng, n * rows_n).reshape(n, rows_n)
-        for b0 in range(0, rows_n, block):
-            cols = slice(b0, min(b0 + block, rows_n))
-            root, odd = forest(eps_mat[:, cols], _picks(u_att[:, cols]))
-            # every step takes its root's fresh draw, negated at odd depth
-            x = np.take_along_axis(xval[:, cols], root, axis=0)
-            np.negative(x, out=x, where=odd)
-            xval[:, cols] = x
-            if census:
-                # tree sizes: bincount of the root keys, one range per replica
-                key = root + n * np.arange(root.shape[1])
-                sizes = np.bincount(key.ravel(), minlength=key.size).reshape(-1, n)
-                nu1[start + cols.start : start + cols.stop] = (sizes == 1).sum(axis=1)
-        del eps_mat, u_att
-        # the summation order (along the step axis of the (n, rows) layout)
-        # fixes the bits of the float totals; keep it
-        s_check[start:stop] = xval.sum(axis=0)
+    width = max(1, _BLOCK_CELLS // n)
+    for b, start in enumerate(range(0, reps, width)):
+        w = min(width, reps - start)
+        seq = np.random.SeedSequence(child_seed(seed, b))
+        u = np.random.default_rng(seq).random((w, 2, n))
+        innov = u[:, 0] < pf  # (replica, step), like the draws
+        innov[:, 0] = True
+        # `forest` runs on the (step, replica) view
+        root, odd = forest(innov.T, _picks(u[:, 1].T))
+        del u
+        # each vertex's root cell in the flat (replica, step) layout, so that
+        # the roots come out replica by replica, as their steps are drawn
+        key = (root + n * np.arange(w)).ravel()
+        sign = (1 - 2 * odd.view(np.int8)).astype(np.float64)  # far faster than from bool
+        delta = np.bincount(key, weights=sign.ravel(), minlength=key.size)[innov.ravel()]
+        x = law.sample_batch(np.random.default_rng(seq.spawn(1)[0]), delta.size)
+        owner = np.flatnonzero(innov) // n
+        s_check[start : start + w] = np.bincount(owner, weights=delta * x, minlength=w)
+        if census:
+            sizes = np.bincount(key, minlength=key.size).reshape(w, n)
+            nu1[start : start + w] = (sizes == 1).sum(axis=1)
 
     return BatchSummary(s_check, nu1)

@@ -13,6 +13,7 @@ from counterwalk.asymptotics import (
     exact_mean,
     limit_constants,
     nu1_clt_variance,
+    pareto_phi1,
     rho_of,
     rising_factorial,
     shape_weighted_sum,
@@ -257,6 +258,56 @@ class TestStableExponent:
         assert spec.phi(3.0) == pytest.approx(3.0**1.5 * 2.0)
         assert spec.phi(-3.0) == pytest.approx(3.0**1.5 * 2.0)
         assert spec.a_n(16) == pytest.approx(16 ** (2 / 3))
+
+
+def quadrature_phi1(alpha, n):
+    """``-n log phi_X(t)`` by quadrature of ``1 - phi_X(t) = alpha t^alpha
+    int_t^inf (1 - cos u) u^(-alpha-1) du``, split at u = 1 so that neither
+    piece cancels: ``[t, 1]`` directly, ``[1, inf)`` as ``1/alpha`` minus a
+    Fourier integral."""
+    from scipy.integrate import quad
+
+    t = n ** (-1.0 / alpha)
+    near, _ = quad(lambda u: (1 - math.cos(u)) * u ** (-alpha - 1), t, 1.0,
+                   epsabs=0.0, epsrel=1e-12, limit=200)
+    far, _ = quad(lambda u: u ** (-alpha - 1), 1.0, math.inf, weight="cos", wvar=1.0)
+    return -n * math.log1p(-alpha * t**alpha * (near + 1.0 / alpha - far))
+
+
+class TestParetoPhi1:
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.2, 1.5, 1.9])
+    @pytest.mark.parametrize("n", [1_000, 10_000])
+    def test_matches_quadrature(self, alpha, n):
+        assert pareto_phi1(alpha, n) == pytest.approx(quadrature_phi1(alpha, n), rel=1e-8)
+
+    def test_pinned_values(self):
+        assert pareto_phi1(1.5, 1_000) == pytest.approx(2.3594097440, abs=1e-10)
+        assert pareto_phi1(1.5, 10_000) == pytest.approx(2.4373014453, abs=1e-10)
+
+    def test_continuous_through_alpha_one(self):
+        # C_alpha has the limit pi/2 at alpha = 1, where Gamma(-alpha) has a pole
+        at_one = pareto_phi1(1.0, 10_000)
+        assert pareto_phi1(1.0 - 1e-7, 10_000) == pytest.approx(at_one, rel=1e-5)
+        assert pareto_phi1(1.0 + 1e-7, 10_000) == pytest.approx(at_one, rel=1e-5)
+        # the unit exponent tends to C_1 = pi/2 as n grows
+        assert pareto_phi1(1.0, 10**12) == pytest.approx(math.pi / 2, rel=1e-9)
+
+    def test_leading_terms_at_large_n(self):
+        # n (1 - phi_X(t)) = alpha (C - t^(2-alpha) / (2 (2-alpha)) + ...), C = -Gamma(-alpha) cos(pi alpha/2)
+        alpha, n = 1.5, 10**9
+        c = -math.gamma(-alpha) * math.cos(math.pi * alpha / 2)
+        t = n ** (-1 / alpha)
+        expected = alpha * (c - t ** (2 - alpha) / (2 * (2 - alpha)))
+        assert pareto_phi1(alpha, n) == pytest.approx(expected, rel=1e-8)
+
+    def test_rejects_bad_arguments(self):
+        for alpha in (0.0, 2.0, -1.0):
+            with pytest.raises(ValueError):
+                pareto_phi1(alpha, 100)
+        with pytest.raises(ValueError):
+            pareto_phi1(1.5, 0)
+        with pytest.raises(ValueError):
+            pareto_phi1(0.5, 1)  # E cos X < 0 at t = 1
 
 
 class TestShapeSeries:

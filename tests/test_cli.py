@@ -233,20 +233,48 @@ class TestVerifyCommand:
         import counterwalk.cli as cli_mod
         from counterwalk.acceptance import run_criterion
 
-        def tiny_run_all(seed, fast, emit):
-            reports = run_criterion("c01", seed, fast) + run_criterion("c04", seed, fast)
-            for report in reports:
-                emit(report)
+        def tiny_run_all(seed, fast, emit, done):
+            reports = []
+            for cid in ("c01", "c04"):
+                batch = run_criterion(cid, seed, fast)
+                for report in batch:
+                    emit(report)
+                done(cid, batch, 0.25)
+                reports += batch
             return reports
 
         monkeypatch.setattr(cli_mod, "run_all", tiny_run_all)
-        code, out, _ = run_cli(capsys, "verify", "all", "--seed", "1", "--fast")
+        code, out, err = run_cli(capsys, "verify", "all", "--seed", "1", "--fast")
         assert code == 0
         lines = out.strip().splitlines()
         assert len(lines) == 2
         for line in lines:
             payload = json.loads(line)
             assert payload["passed"] is True
+        assert err.splitlines() == [
+            "c01 0.250 s, worst margin 0.0000 c01_eulerian_exact",
+            "c04 0.250 s, worst margin 0.0000 c04_parity_moments",
+            "worst margin 0.0000 c01_eulerian_exact, 0 failed",
+        ]
+
+    def test_stdout_is_reproducible_and_stderr_reports_margins(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "all", "--fast")
+        assert code == 0
+        again_code, again_out, _ = run_cli(capsys, "verify", "all", "--fast")
+        assert again_code == 0 and again_out == out
+        reports = [json.loads(line) for line in out.splitlines()]
+        margins = {r["name"]: r["value"] / r["threshold"] if r["threshold"] > 0 else 0.0
+                   for r in reports}
+        *per_criterion, closing = err.splitlines()
+        assert [line.split()[0] for line in per_criterion] == [f"c{i:02d}" for i in range(1, 15)]
+        for line in per_criterion:
+            cid, seconds, unit, _, _, margin, name = line.split()
+            assert float(seconds) >= 0 and unit == "s,"
+            assert name.startswith(cid + "_")
+            assert float(margin) == pytest.approx(
+                max(m for key, m in margins.items() if key.startswith(cid + "_")), abs=1e-4)
+        worst = max(margins, key=margins.get)
+        assert closing == f"worst margin {margins[worst]:.4f} {worst}, 0 failed"
 
 
 class TestExperimentConfig:

@@ -303,3 +303,11 @@ class TestCheckReport:
             '{"k1": [1, 2], "k2": 0.5}}, "name": "demo", "passed": true, "sample_size": 1000, '
             '"seed": 17, "statistic": "tv_distance", "threshold": 0.01, "value": 0.004}'
         )
+
+    def test_margin(self):
+        assert make_report("x", "z_score", 1.5, 3.0, 1, None).margin == 0.5
+        assert make_report("x", "relative_error", 0.0, 0.0, 1, None).margin == 0.0
+        assert make_report("x", "relative_error", 1.0, 0.0, 1, None).margin == math.inf
+        assert make_report("x", "relative_error", 7.0, math.inf, 1, None).margin == 0.0
+        # not a serialized field: the report stream keeps its keys
+        assert "margin" not in json.loads(make_report("x", "z_score", 1.0, 2.0, 1, None).to_json())

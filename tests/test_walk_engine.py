@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from counterwalk.replication import child_seed
 from counterwalk.verify import brute_force_walk_pmf, tv_distance
 from counterwalk.walk_engine import (
+    _BLOCK_CELLS,
     StepLaw,
     decompose,
     forest,
@@ -93,12 +95,20 @@ class TestStepLaw:
 
     @pytest.mark.parametrize("alpha", [Fraction(3, 2), Fraction(4, 5), Fraction(3)])
     def test_pareto_matches_out_of_place_expression(self, alpha):
-        # the expression earlier releases used, before the draws were built in place
-        rng = np.random.default_rng(2024)
-        mag = (1.0 - rng.random(5000)) ** (-1.0 / float(alpha))
-        expected = mag * (2 * rng.integers(0, 2, size=5000) - 1)
+        # each step's magnitude and sign come from one row of uniform pairs
+        u = np.random.default_rng(2024).random((5000, 2))
+        mag = (1.0 - u[:, 0]) ** (-1.0 / float(alpha))
+        expected = np.where(u[:, 1] < 0.5, -mag, mag)
         draws = StepLaw.pareto_symmetric(alpha).sample_batch(np.random.default_rng(2024), 5000)
         assert draws.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+    def test_sample_batch_prefix_is_a_shorter_batch(self, law):
+        # the batch engine draws a short last block as a prefix of a full one
+        for size, k in ((1000, 1), (1000, 999), (7, 3)):
+            full = law.sample_batch(np.random.default_rng(13), size)
+            part = law.sample_batch(np.random.default_rng(13), k)
+            assert full[:k].tobytes() == part.tobytes()
 
 
 class TestForest:
@@ -365,22 +375,52 @@ class TestBatch:
         (150, Fraction(1, 2), StepLaw.pareto_symmetric(Fraction(3, 2)), 1),
     ])
     def test_bit_identical_to_reference_loop_on_the_chunk_draws(self, n, p, law, reps):
-        # the chunk draws and the float summation order of every earlier
-        # release: a (n, rows) matrix summed along the step axis
+        # the draws of one block: per replica n innovation uniforms, then n
+        # pick uniforms; the first spawned child sequence draws one step per
+        # innovation; each replica adds delta(tree) * draw in step order
         seed = 2024
-        rng = np.random.default_rng(child_seed(seed, 0))
-        innov = rng.random((n, reps)) < float(p)
-        u = rng.random((n, reps))
-        draws = law.sample_batch(rng, n * reps).reshape(n, reps)
-        check = np.empty((n, reps))
+        seq = np.random.SeedSequence(child_seed(seed, 0))
+        u = np.random.default_rng(seq).random((reps, 2, n))
+        innov = u[:, 0] < float(p)
+        innov[:, 0] = True
+        draws = iter(law.sample_batch(np.random.default_rng(seq.spawn(1)[0]), int(innov.sum())))
+        check = np.empty(reps)
         singletons = np.empty(reps, dtype=np.int64)
         for r in range(reps):
-            root, odd = reference_forest(innov[:, r], (u[:, r] * np.arange(n)).astype(np.int64))
-            check[:, r] = np.where(odd, -draws[root, r], draws[root, r])
+            root, odd = reference_forest(innov[r], (u[r, 1] * np.arange(n)).astype(np.int64))
+            total = 0.0
+            for j in np.flatnonzero(innov[r]):
+                delta = int((root == j).sum()) - 2 * int(odd[root == j].sum())
+                total += delta * next(draws)
+            check[r] = total
             singletons[r] = (np.bincount(root, minlength=n) == 1).sum()
         batch = simulate_batch(n, p, law, reps, seed)
-        assert batch.s_check.tobytes() == check.sum(axis=0).tobytes()
+        assert batch.s_check.tobytes() == check.tobytes()
         assert np.array_equal(batch.nu1, singletons)
+
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+    def test_replica_prefix_is_stable(self, law):
+        # W = 131 replicas per block at n = 1000; 2W + 5 spans three blocks
+        n, width = 1000, _BLOCK_CELLS // 1000
+        full = simulate_batch(n, Fraction(1, 2), law, 2 * width + 5, 99)
+        for k in (1, 40, width - 1):
+            part = simulate_batch(n, Fraction(1, 2), law, k, 99)
+            assert full.s_check[:k].tobytes() == part.s_check.tobytes()
+            assert np.array_equal(full.nu1[:k], part.nu1)
+
+    def test_memory_does_not_grow_with_reps(self):
+        law = StepLaw.pareto_symmetric(Fraction(3, 2))
+        width = _BLOCK_CELLS // 1000
+
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                simulate_batch(1000, Fraction(1, 2), law, reps, 5, census=True)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20 * width) <= 1.5 * peak(2 * width)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
