@@ -83,8 +83,7 @@ def c02_rrt_parity_tv(seed: int, fast: bool = False) -> list[CheckReport]:
     """Sampled odd-vertex counts at size 10 vs the exact law."""
     reps = 10_000 if fast else 100_000
     threshold = 0.01 * (_SQRT10 if fast else 1.0)
-    rng = np.random.default_rng(child_seed(seed, 2))
-    odd = sample_odd_counts(10, reps, rng)
+    odd = sample_odd_counts(10, reps, child_seed(seed, 2))
     tv = tv_distance(_hist(odd), odd_count_pmf(10))
     return [
         make_report("c02_rrt_parity_tv", "tv_distance", tv, threshold, reps, seed,
@@ -234,8 +233,7 @@ def c09_pure_counterbalance_clt(seed: int, fast: bool = False) -> list[CheckRepo
     """No-innovation regime: scaled parity difference vs N(0, 1/3)."""
     n = 1_000 if fast else 10_000
     reps = 500 if fast else 5_000
-    rng = np.random.default_rng(child_seed(seed, 9))
-    odd = sample_odd_counts(n, reps, rng)
+    odd = sample_odd_counts(n, reps, child_seed(seed, 9))
     y = (n - 2 * odd) / math.sqrt(n)
     return [
         ks_normal(y, 0.0, 1.0 / 3.0, name="c09_pure_counterbalance_ks", seed=seed,

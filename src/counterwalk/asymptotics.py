@@ -170,6 +170,8 @@ class StableSpec:
     def __post_init__(self) -> None:
         if not 0 < self.alpha < 2:
             raise ValueError("alpha must lie in (0, 2)")
+        if not 0 < self.phi_plus < math.inf:
+            raise ValueError("phi_plus must be finite and > 0")
 
     def phi(self, theta: float) -> float:
         return abs(theta) ** self.alpha * self.phi_plus
@@ -218,6 +220,8 @@ def stable_check_exponent(
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     p = _frac(p, "p")
     _check_open01(p)
     rho = float(rho_of(p))

@@ -32,14 +32,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-import numpy as np
-
 from . import __version__
 from . import asymptotics as asym
 from .acceptance import DEFAULT_SEED, run_all
 from .eulerian import ExactPmf, delta_pmf, eulerian_row, odd_count_pmf
 from .recursive_tree import sample_odd_counts
-from .replication import replica_seeds, run_replicas
+from .replication import child_seed, run_replicas
 from .verify import brute_force_walk_pmf
 from .walk_engine import StepLaw, forest_census, parse_mu_spec, simulate
 
@@ -151,7 +149,7 @@ def _cmd_simulate(args) -> int:
         seed=args.seed, traj_every=args.traj_every,
     )
     replica = partial(_replica, args.n, p, law, args.traj_every)
-    results = run_replicas(replica, list(enumerate(replica_seeds(args.seed, args.reps))))
+    results = run_replicas(replica, [(r, child_seed(args.seed, r)) for r in range(args.reps)])
 
     lines = ["rep,n,i_n,S_check,S_hat,nu1", _comment_line(config, args.seed)]
     for summary, _ in results:
@@ -222,8 +220,7 @@ def _cmd_sample(args) -> int:
         raise CliError("--reps must be >= 1")
     config = _config("sample-rrt", n=args.n, reps=args.reps, seed=args.seed)
     lines = ["rep,even,odd,delta", _comment_line(config, args.seed)]
-    for rep, seed in enumerate(replica_seeds(args.seed, args.reps)):
-        odd = int(sample_odd_counts(args.n, 1, np.random.default_rng(seed))[0])
+    for rep, odd in enumerate(sample_odd_counts(args.n, args.reps, args.seed).tolist()):
         even = args.n - odd
         lines.append(f"{rep},{even},{odd},{even - odd}")
     _emit(lines, args.out)
@@ -380,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--theta", type=float, required=True)
     ls.add_argument("--kmax", type=int, default=50)
     ls.add_argument("--phi1", type=float, default=1.0,
-                    help="unit value of the input characteristic exponent")
+                    help="unit value of the input characteristic exponent (finite, > 0)")
     ls.add_argument("--out", default=None)
     ls.set_defaults(fn=_cmd_limits, limits_mode="stable")
 

@@ -5,14 +5,15 @@ A tree on vertices ``1..k`` is given by its parent sequence
 sequence *is* the canonical identity of an increasing tree, so shape
 statistics are plain dictionary lookups and no isomorphism test ever runs.
 Random trees are sampled as `walk_engine.forest` forests without
-innovations, on numpy generators.
+innovations, in the draw layout of `walk_engine`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .walk_engine import _BLOCK_CELLS, _picks, forest
+from .replication import child_seed
+from .walk_engine import _BLOCK_CELLS, _block
 
 #: Exhaustive enumeration is refused above this size ((k-1)! trees).
 ENUMERATION_CAP = 9
@@ -40,13 +41,14 @@ def increasing_tree_deltas(k: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
     return k - 2 * parity.sum(axis=1, dtype=np.int64)
 
 
-def sample_odd_counts(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
+def sample_odd_counts(n: int, reps: int, seed: int) -> np.ndarray:
     """Odd-vertex counts of ``reps`` independent uniform attachment trees.
 
-    Each tree is a `forest` without innovations.  Replicas run in blocks of
-    ``max(1, _BLOCK_CELLS // n)``; each block draws its ``(n, width)`` pick
-    uniforms from ``rng`` in turn (vertex ``j``, 0-based, hangs below
-    ``floor(uniform * j)``).
+    Each tree is a `forest` without innovations, drawn in the blocks of
+    `walk_engine.simulate_batch` at ``p = 0`` (the `walk_engine` docstring
+    pins the layout), so the counts equal
+    ``(n - simulate_batch(n, 0, StepLaw.dirac(1), reps, seed).s_check) / 2``
+    and the first ``k`` replicas equal the run with ``reps = k``.
     """
     if n < 1:
         raise ValueError("tree size must be >= 1")
@@ -54,11 +56,10 @@ def sample_odd_counts(n: int, reps: int, rng: np.random.Generator) -> np.ndarray
         raise ValueError("reps must be >= 1")
     out = np.empty(reps, dtype=np.int64)
     width = max(1, _BLOCK_CELLS // n)
-    for start in range(0, reps, width):
+    for b, start in enumerate(range(0, reps, width)):
         w = min(width, reps - start)
-        u = rng.random((n, w))
-        _, odd = forest(np.zeros((n, w), dtype=bool), _picks(u))
-        out[start : start + w] = odd.sum(axis=0)
+        _, _, _, odd, _ = _block(child_seed(seed, b), n, 0.0, w)
+        out[start : start + w] = odd.sum(axis=1)
     return out
 
 
@@ -76,8 +77,9 @@ def tanny_sample_batch(n: int, reps: int, rng: np.random.Generator) -> np.ndarra
     if n == 0:
         return np.zeros(reps, dtype=np.int64)
     out = np.empty(reps, dtype=np.int64)
-    # chunked so reps * n never allocates more than ~2**24 cells at once
-    chunk = max(1, (1 << 24) // max(n, 1))
+    # rows drawn in chunks of about _BLOCK_CELLS cells, in order from one
+    # stream, so the draws do not depend on the chunk size
+    chunk = max(1, _BLOCK_CELLS // n)
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
         sums = rng.random((stop - start, n)).sum(axis=1)

@@ -41,6 +41,3 @@ def run_replicas(fn: Callable[[U], T], tasks: Sequence[U], workers: int | None =
     """
     return [fn(task) for task in tasks]
 
-
-def replica_seeds(master: int, count: int) -> list[int]:
-    return [child_seed(master, i) for i in range(count)]

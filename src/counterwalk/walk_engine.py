@@ -10,11 +10,14 @@ and depth parity from the picks by pointer jumping; every simulator and
 every reduction in this module, and the tree sampler of `recursive_tree`,
 runs on its output.
 
-`simulate` draws from ``np.random.default_rng(seed)`` in a fixed order:
-``n`` innovation uniforms (step ``j``, 0-based, is an innovation when its
-uniform is below ``p``; the first is drawn but ignored), then ``n`` pick
-uniforms (step ``j`` picks ``floor(uniform * j)``), then one fresh step per
-innovation.
+Draw layout, shared by `simulate`, `simulate_batch` and
+`recursive_tree.sample_odd_counts`: a block of ``w`` replicas on
+``seq = np.random.SeedSequence(seed)`` draws from ``default_rng(seq)``,
+replica by replica, ``n`` innovation uniforms (step ``j``, 0-based, is an
+innovation when its uniform is below ``p``; the first is drawn but ignored)
+and then ``n`` pick uniforms (step ``j`` picks ``floor(uniform * j)``);
+``seq``'s first spawned child draws one fresh step per innovation, in
+replica and step order.  A narrower block draws a prefix of a wider one.
 Lattice laws (``rademacher``, ``dirac``) are simulated as int64 multiples of
 their lattice step, so their sums are exact; float laws finish their sums
 with `math.fsum` and compensate their partial sums.
@@ -189,11 +192,13 @@ def _parse_number(text: str, message: str) -> Fraction:
 def forest(innov: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Root and depth parity of every vertex of a genealogical forest.
 
-    Axis 0 of ``innov`` (bool) and ``picks`` (int) is the 0-based step; any
-    further axes are independent replicas.  Step ``j`` roots a tree when
-    ``innov[j]`` holds or ``j == 0``, and otherwise hangs below step
-    ``picks[j] < j``.  Returns ``(root, odd)``: the step that founded each
-    vertex's tree, and whether the vertex sits at odd depth in it.
+    The last axis of ``innov`` (bool) and ``picks`` (int) is the 0-based
+    step, as in the draw layout of the module docstring; any leading axes
+    are independent replicas.  Step ``j`` roots a tree when ``innov[..., j]``
+    holds or ``j == 0``, and otherwise hangs below step ``picks[..., j] < j``.
+    Returns ``(root, odd)``: the flat (C-order) index of the cell that
+    founded each vertex's tree, which is its step for a single replica, and
+    whether the vertex sits at odd depth in it.
 
     Pointer jumping (Wyllie 1979): roots are self-loops, and each round XORs
     the parity bit of a vertex's current target into its own and then jumps
@@ -201,26 +206,34 @@ def forest(innov: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     recursive tree of depth about ``e ln n`` needs about ``log2(e ln n)``
     rounds.
     """
-    n = innov.shape[0]
-    step = np.arange(n).reshape((n,) + (1,) * (innov.ndim - 1))
+    n = innov.shape[-1]
+    step = np.arange(n)
     parent = np.where(innov, step, picks)
-    parent[0] = 0
+    parent[..., 0] = 0
     odd = (parent != step).ravel()
-    width = parent.size // n
     # flat indices in C order, so one gather serves every replica at once
-    target = (parent * width + np.arange(width).reshape(innov.shape[1:])).ravel()
+    target = (parent + n * np.arange(parent.size // n).reshape(innov.shape[:-1] + (1,))).ravel()
     while True:
         jump = target[target]
         if np.array_equal(jump, target):
-            return (target // width).reshape(innov.shape), odd.reshape(innov.shape)
+            return target.reshape(innov.shape), odd.reshape(innov.shape)
         odd ^= odd[target]
         target = jump
 
 
-def _picks(u: np.ndarray) -> np.ndarray:
-    """Parent picks ``floor(u[j] * j)`` from pick uniforms (axis 0 is the step)."""
-    step = np.arange(u.shape[0]).reshape((-1,) + (1,) * (u.ndim - 1))
-    return (u * step).astype(np.int64)
+def _block(seed: int, n: int, p: float, w: int) -> tuple:
+    """One block of ``w`` replicas in the draw layout of the module
+    docstring: returns ``(innov, picks, root, odd, steps)``, the first four
+    of shape ``(w, n)``, and ``steps``, the generator for the block's fresh
+    step draws."""
+    seq = np.random.SeedSequence(seed)
+    u = np.random.default_rng(seq).random((w, 2, n))
+    innov = u[:, 0] < p
+    innov[:, 0] = True
+    picks = (u[:, 1] * np.arange(n)).astype(np.int64)
+    # `u` lives through `forest`: freed before it, its pages were faulted in anew each block
+    root, odd = forest(innov, picks)
+    return innov, picks, root, odd, np.random.default_rng(seq.spawn(1)[0])
 
 
 def _total(law: StepLaw, a: np.ndarray) -> Number:
@@ -304,21 +317,17 @@ class WalkRun:
 
 
 def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
-    """Run the coupled recursion for ``n`` steps, drawing from a fresh
-    ``np.random.default_rng(seed)`` in the order the module docstring pins;
-    the same seed reproduces the run bit for bit."""
+    """Run the coupled recursion for ``n`` steps as the one-replica block
+    on ``seed`` of the module docstring's draw layout; the same seed
+    reproduces the run bit for bit."""
     if n < 1:
         raise ValueError("horizon must be >= 1")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    eps = rng.random(n) < float(p)
-    eps[0] = True
-    picks = _picks(rng.random(n))
-    root, odd = forest(eps, picks)
+    (eps,), (picks,), (root,), (odd,), steps = _block(seed, n, float(p), 1)
     i_n = int(eps.sum())
-    x = law.sample_units(rng, i_n) if law.exact else law.sample_batch(rng, i_n)
+    x = law.sample_units(steps, i_n) if law.exact else law.sample_batch(steps, i_n)
     tree_id = np.cumsum(eps)[root]
     v = np.where(eps, 0, picks + 1)
     return WalkRun(n, law, eps, v, x, tree_id, odd)
@@ -413,9 +422,8 @@ class BatchSummary:
     nu1: np.ndarray | None
 
 
-#: Cells per `forest` call in `simulate_batch` and
-#: `recursive_tree.sample_odd_counts`: small enough that a block's pointer
-#: arrays stay in cache.
+#: Cells per block in `simulate_batch` and `recursive_tree` (its forests and
+#: its uniform sums): small enough that a block's arrays stay in cache.
 _BLOCK_CELLS = 1 << 17
 
 
@@ -431,12 +439,11 @@ def simulate_batch(
     """High-throughput final-value runner, vectorized across replicas.
 
     Each replica follows the same recursion as `simulate`.  Replicas run in
-    blocks of ``W = max(1, _BLOCK_CELLS // n)``.  Block ``b`` draws from
-    ``np.random.SeedSequence(child_seed(seed, b))``, replica by replica,
-    ``n`` innovation uniforms and then ``n`` pick uniforms; that sequence's
-    first spawned child then draws one fresh step per innovation, in
-    replica and step order.  A replica's final value is the forest form
-    ``sum over its trees of delta(tree) * draw``, added up in step order.
+    blocks of ``W = max(1, _BLOCK_CELLS // n)``; block ``b`` is the
+    module docstring's block on ``child_seed(seed, b)``, so replica 0 equals
+    ``simulate(n, p, law, child_seed(seed, 0))``.  A replica's final value is
+    the forest form ``sum over its trees of delta(tree) * draw``, added up in
+    step order.
 
     Prefix stability: ``W`` depends on ``n`` only, and a short last block
     draws a prefix of what a full block would, so the first ``k`` replicas
@@ -453,26 +460,19 @@ def simulate_batch(
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
-    pf = float(p)
 
     s_check = np.empty(reps)
     nu1 = np.empty(reps, dtype=np.int64) if census else None
     width = max(1, _BLOCK_CELLS // n)
     for b, start in enumerate(range(0, reps, width)):
         w = min(width, reps - start)
-        seq = np.random.SeedSequence(child_seed(seed, b))
-        u = np.random.default_rng(seq).random((w, 2, n))
-        innov = u[:, 0] < pf  # (replica, step), like the draws
-        innov[:, 0] = True
-        # `forest` runs on the (step, replica) view
-        root, odd = forest(innov.T, _picks(u[:, 1].T))
-        del u
-        # each vertex's root cell in the flat (replica, step) layout, so that
-        # the roots come out replica by replica, as their steps are drawn
-        key = (root + n * np.arange(w)).ravel()
+        innov, picks, root, odd, steps = _block(child_seed(seed, b), n, float(p), w)
+        del picks  # only `simulate` reads them; kept, they raise the peak
+        # flat root cells come out replica by replica, as their steps are drawn
+        key = root.ravel()
         sign = (1 - 2 * odd.view(np.int8)).astype(np.float64)  # far faster than from bool
         delta = np.bincount(key, weights=sign.ravel(), minlength=key.size)[innov.ravel()]
-        x = law.sample_batch(np.random.default_rng(seq.spawn(1)[0]), delta.size)
+        x = law.sample_batch(steps, delta.size)
         owner = np.flatnonzero(innov) // n
         s_check[start : start + w] = np.bincount(owner, weights=delta * x, minlength=w)
         if census:

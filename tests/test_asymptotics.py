@@ -215,6 +215,16 @@ class TestTreeFreqLimit:
 
 
 class TestStableExponent:
+    @pytest.mark.parametrize("phi_plus", [-1.0, 0.0, math.nan, math.inf])
+    def test_spec_rejects_bad_unit_exponent(self, phi_plus):
+        with pytest.raises(ValueError):
+            StableSpec(1.5, phi_plus)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ValueError):
+            stable_check_exponent(theta, HALF, StableSpec(1.5, 1.0), kmax=5)
+
     def test_zero_theta(self):
         spec = StableSpec(1.5, 1.0)
         value, tail = stable_check_exponent(0.0, HALF, spec, kmax=30)

@@ -224,6 +224,16 @@ class TestLimitsCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--phi1", "-1"), ("--phi1", "nan"), ("--phi1", "inf"), ("--theta", "nan"),
+    ])
+    def test_stable_rejects_bad_phi1_and_theta(self, capsys, flag, value):
+        args = {"--alpha": "1.5", "--p": "1/2", "--theta": "1.0", flag: value}
+        code, out, err = run_cli(capsys, "limits", "stable", *(x for kv in args.items() for x in kv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestVerifyCommand:
     def test_json_stream_and_exit_zero_on_tiny_subset(self, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ from counterwalk.recursive_tree import (
     sample_odd_counts,
     tanny_sample_batch,
 )
-from counterwalk.walk_engine import _BLOCK_CELLS
+from counterwalk.replication import child_seed
+from counterwalk.walk_engine import _BLOCK_CELLS, StepLaw, simulate_batch
 from counterwalk.verify import tv_distance
 
 
@@ -137,22 +139,21 @@ class TestEnumeration:
 
 class TestSampling:
     def test_trivial_sizes(self):
-        rng = np.random.default_rng(0)
-        assert np.all(sample_odd_counts(1, 20, rng) == 0)
-        assert np.all(sample_odd_counts(2, 20, rng) == 1)
+        assert np.all(sample_odd_counts(1, 20, 0) == 0)
+        assert np.all(sample_odd_counts(2, 20, 0) == 1)
         with pytest.raises(ValueError):
-            sample_odd_counts(0, 1, rng)
+            sample_odd_counts(0, 1, 0)
 
     def test_third_vertex_attachment_frequency(self):
         # vertex 3 hangs below the root (two odd vertices) or below vertex 2 (one)
         reps = 20_000
-        hits = int((sample_odd_counts(3, reps, np.random.default_rng(1234)) == 2).sum())
+        hits = int((sample_odd_counts(3, reps, 1234) == 2).sum())
         sd = math.sqrt(reps * 0.25)
         assert abs(hits - reps / 2) <= 3 * sd
 
     def test_empirical_parity_law(self):
         reps = 20_000
-        deltas = 8 - 2 * sample_odd_counts(8, reps, np.random.default_rng(99))
+        deltas = 8 - 2 * sample_odd_counts(8, reps, 99)
         exact = odd_count_pmf(8).pushforward(lambda ell: 8 - 2 * ell)
         assert tv_distance(_hist(deltas), exact) <= 0.02
 
@@ -189,41 +190,76 @@ class TestTanny:
         b = tanny_sample_batch(9, 1000, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
+    def test_chunks_draw_the_rows_of_one_matrix(self):
+        # 3 full chunks of _BLOCK_CELLS // n rows and a partial fourth
+        n = 1000
+        reps = 3 * (_BLOCK_CELLS // n) + 7
+        one = np.random.default_rng(3).random((reps, n)).sum(axis=1)
+        draws = tanny_sample_batch(n, reps, np.random.default_rng(3))
+        assert draws.tobytes() == np.ceil(one).astype(np.int64).tobytes()
+
+    def test_memory_does_not_grow_with_reps(self):
+        n = 1000
+        width = _BLOCK_CELLS // n
+
+        def peak(reps):
+            tracemalloc.start()
+            try:
+                tanny_sample_batch(n, reps, np.random.default_rng(4))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(20 * width) <= 1.5 * peak(2 * width)
+
 
 class TestBatchParity:
     def test_matches_exact_law(self):
-        rng = np.random.default_rng(11)
-        odd = sample_odd_counts(6, 20_000, rng)
+        odd = sample_odd_counts(6, 20_000, 11)
         assert tv_distance(_hist(odd), odd_count_pmf(6)) <= 0.02
 
     def test_two_sample_agreement_with_tanny(self):
-        odd = sample_odd_counts(10, 20_000, np.random.default_rng(12))
+        odd = sample_odd_counts(10, 20_000, 12)
         tanny = tanny_sample_batch(9, 20_000, np.random.default_rng(13))
         assert tv_distance(_hist(odd), _hist(tanny)) <= 0.03
 
     def test_single_vertex(self):
-        odd = sample_odd_counts(1, 50, np.random.default_rng(14))
+        odd = sample_odd_counts(1, 50, 14)
         assert np.all(odd == 0)
 
     @pytest.mark.parametrize("n", [1, 2, 10, 1000])
     def test_bit_identical_to_reference_loop(self, n):
-        # three blocks, the last one partial, each fed its own pick uniforms
+        # three blocks, the last one partial; block b draws, replica by
+        # replica, n innovation uniforms (unused at p = 0) and n pick uniforms
+        # from SeedSequence(child_seed(seed, b))
         width = max(1, _BLOCK_CELLS // n)
         reps = 2 * width + 3
-        rng = np.random.default_rng(n)
         expected = []
-        for start in range(0, reps, width):
-            u = rng.random((n, min(width, reps - start)))
-            for col in u.T:
+        for b, start in enumerate(range(0, reps, width)):
+            u = np.random.default_rng(child_seed(n, b)).random((min(width, reps - start), 2, n))
+            for row in u[:, 1]:
                 odd = [False] * n
                 for j in range(1, n):
-                    odd[j] = not odd[int(col[j] * j)]
+                    odd[j] = not odd[int(row[j] * j)]
                 expected.append(sum(odd))
-        assert sample_odd_counts(n, reps, np.random.default_rng(n)).tolist() == expected
+        assert sample_odd_counts(n, reps, n).tolist() == expected
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 1000])
+    def test_equals_the_batch_parity_identity(self, n):
+        # at p = 0 a unit-mass batch replica ends at even - odd = n - 2 * odd
+        reps = 2 * max(1, _BLOCK_CELLS // n) + 3
+        batch = simulate_batch(n, 0, StepLaw.dirac(1), reps, 21, census=False)
+        assert np.array_equal(sample_odd_counts(n, reps, 21), (n - batch.s_check) / 2)
+
+    def test_replica_prefix_is_stable(self):
+        n = 1000
+        width = _BLOCK_CELLS // n
+        full = sample_odd_counts(n, 2 * width + 5, 8)
+        for k in (1, 40, width - 1, width + 1):
+            assert np.array_equal(full[:k], sample_odd_counts(n, k, 8))
 
     def test_rejects_bad_arguments(self):
-        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            sample_odd_counts(0, 10, rng)
+            sample_odd_counts(0, 10, 0)
         with pytest.raises(ValueError):
-            sample_odd_counts(5, 0, rng)
+            sample_odd_counts(5, 0, 0)

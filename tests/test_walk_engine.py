@@ -43,10 +43,9 @@ def reference_forest(innov, picks):
 
 
 def random_forest_input(n, p, rng, width=None):
-    shape = (n,) if width is None else (n, width)
+    shape = (n,) if width is None else (width, n)
     innov = rng.random(shape) < p
-    steps = np.arange(n).reshape((n,) + (1,) * (len(shape) - 1))
-    return innov, (rng.random(shape) * steps).astype(np.int64)
+    return innov, (rng.random(shape) * np.arange(n)).astype(np.int64)
 
 
 class TestStepLaw:
@@ -128,11 +127,11 @@ class TestForest:
         for n, width in ((1, 4), (5, 1), (300, 7)):
             innov, picks = random_forest_input(n, p, rng, width)
             root, odd = forest(innov, picks)
-            assert root.shape == odd.shape == (n, width)
+            assert root.shape == odd.shape == (width, n)
             for r in range(width):
-                ref_root, ref_odd = reference_forest(innov[:, r], picks[:, r])
-                assert root[:, r].tolist() == ref_root.tolist()
-                assert odd[:, r].tolist() == ref_odd.tolist()
+                ref_root, ref_odd = reference_forest(innov[r], picks[r])
+                assert (root[r] - r * n).tolist() == ref_root.tolist()
+                assert odd[r].tolist() == ref_odd.tolist()
 
     def test_first_step_is_a_root_whatever_its_bit(self):
         root, odd = forest(np.zeros(4, dtype=bool), np.zeros(4, dtype=np.int64))
@@ -217,6 +216,19 @@ class TestSimulate:
         # constant step draws make the reinforced sum exactly the step index
         run = simulate(250, Fraction(1, 2), StepLaw.dirac(1), 8)
         assert run.s_hat.tolist() == list(range(1, 251))
+
+    @pytest.mark.parametrize("n", [1, 2, 500])
+    def test_innovations_and_picks_are_the_first_2n_uniforms(self, n):
+        # the innovation row and then the pick row of default_rng(seed); only
+        # the fresh steps come from the spawned child
+        u = np.random.default_rng(41).random(2 * n)
+        eps = u[:n] < 0.3
+        eps[0] = True
+        v = np.where(eps, 0, (u[n:] * np.arange(n)).astype(np.int64) + 1)
+        for law in ALL_LAWS:
+            run = simulate(n, 0.3, law, 41)
+            assert np.array_equal(run.eps, eps)
+            assert np.array_equal(run.v, v)
 
     def test_determinism(self):
         a = simulate(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 77)
@@ -397,6 +409,20 @@ class TestBatch:
         batch = simulate_batch(n, p, law, reps, seed)
         assert batch.s_check.tobytes() == check.tobytes()
         assert np.array_equal(batch.nu1, singletons)
+
+    @pytest.mark.parametrize("law", ALL_LAWS + (StepLaw.dirac(Fraction(1, 3)),),
+                             ids=lambda law: law.spec_string())
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_replica_zero_is_simulate(self, law, n):
+        # block 0 of the batch is drawn from child_seed(seed, 0), and its
+        # first replica consumes the draws `simulate` does from that seed
+        seed = 314
+        expected = simulate(n, Fraction(1, 2), law, child_seed(seed, 0)).final_check
+        got = simulate_batch(n, Fraction(1, 2), law, 5, seed).s_check[0]
+        if law.spec_string() in ("rademacher", "dirac:1"):
+            assert got == expected
+        else:
+            assert got == pytest.approx(float(expected), rel=1e-9, abs=1e-12)
 
     @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
     def test_replica_prefix_is_stable(self, law):
