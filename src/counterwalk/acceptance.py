@@ -19,6 +19,7 @@ import numpy as np
 
 from . import asymptotics as asym
 from .eulerian import (
+    ExactPmf,
     delta_moment,
     delta_pmf,
     eulerian_number,
@@ -50,9 +51,9 @@ DEFAULT_SEED = 20260809
 _SQRT10 = math.sqrt(10.0)
 
 
-def _hist(values: np.ndarray) -> dict[int, int]:
+def _hist(values: np.ndarray) -> ExactPmf:
     keys, counts = np.unique(np.rint(values).astype(np.int64), return_counts=True)
-    return {int(k): int(c) for k, c in zip(keys, counts)}
+    return ExactPmf.from_weights(zip(keys.tolist(), counts.tolist()), len(values))
 
 
 def c01_eulerian_exact(seed: int, fast: bool = False) -> list[CheckReport]:

@@ -232,9 +232,8 @@ def stable_check_exponent(
     b = 1.0 / (1.0 + rho)  # B(1, 1+rho), then recursively B(k+1) = B(k) * k/(k+1+rho)
     for k in range(1, kmax + 1):
         pmf = odd_count_pmf(k)
-        mean_phi = sum(
-            float(prob) * spec.phi((k - 2 * ell) * theta) for ell, prob in pmf.items()
-        )
+        mean_phi = sum(w / pmf.denom * spec.phi((k - 2 * ell) * theta)
+                       for ell, w in zip(pmf.values, pmf.weights))
         shell = prefac * b * mean_phi
         total += shell
         recent.append(abs(shell))

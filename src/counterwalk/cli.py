@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -113,8 +112,7 @@ def _parse_law(text: str) -> StepLaw:
 
 
 def _pmf_rows(pmf: ExactPmf) -> list[tuple[str, int, int]]:
-    denom = math.lcm(*(p.denominator for p in pmf.probs))
-    return [(str(v), p.numerator * (denom // p.denominator), denom) for v, p in pmf.items()]
+    return [(str(v), w, pmf.denom) for v, w in zip(pmf.values, pmf.weights)]
 
 
 # ---------------------------------------------------------------- simulate

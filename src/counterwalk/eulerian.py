@@ -1,8 +1,8 @@
 """Exact Eulerian-number combinatorics and the parity laws they induce.
 
 Everything in this module is exact: the descent triangle is built with
-Python big integers and the probability masses are `fractions.Fraction`;
-floating point never enters.
+Python big integers, and every law is an `ExactPmf`, integer weights over
+one common denominator; floating point never enters.
 
 The triangle entry ``<n, k>`` counts permutations of ``{1..n}`` with
 exactly ``k`` descents.  Two conventions matter throughout:
@@ -19,7 +19,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Union
 
 Value = Union[int, Fraction]
 
@@ -120,13 +120,6 @@ def eulerian_number_by_sum(n: int, k: int) -> int:
     return total
 
 
-def _exact_sum(terms: Iterable[Fraction]) -> Fraction:
-    # one gcd for the whole sum instead of one per addition
-    terms = list(terms)
-    den = math.lcm(*(t.denominator for t in terms))
-    return Fraction(sum(t.numerator * (den // t.denominator) for t in terms), den)
-
-
 def _as_exact(x: Value) -> Value:
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
@@ -135,51 +128,62 @@ def _as_exact(x: Value) -> Value:
 
 @dataclass(frozen=True)
 class ExactPmf:
-    """Finite-support pmf with exact rational probabilities.
+    """Finite-support pmf with exact rational probabilities
+    ``weights[i] / denom``.
 
     Support values are integers (or exact rationals for laws living on a
-    scaled lattice), sorted strictly increasing; probabilities are positive
-    Fractions summing to exactly 1.
+    scaled lattice), sorted strictly increasing; weights are positive
+    integers summing to ``denom``, with no factor common to all of them and
+    ``denom``, so that equal laws compare equal.
     """
 
     values: tuple[Value, ...]
-    probs: tuple[Fraction, ...]
+    weights: tuple[int, ...]
+    denom: int
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.probs) or not self.values:
-            raise ValueError("support and probabilities must be nonempty and aligned")
+        if len(self.values) != len(self.weights) or not self.values:
+            raise ValueError("support and weights must be nonempty and aligned")
         if any(self.values[i] >= self.values[i + 1] for i in range(len(self.values) - 1)):
             raise ValueError("support must be sorted strictly increasing")
-        if any(p <= 0 for p in self.probs):
-            raise ValueError("probabilities must be positive")
-        if _exact_sum(self.probs) != 1:
-            raise ValueError("probabilities must sum to 1 exactly")
+        if any(w <= 0 for w in self.weights):
+            raise ValueError("weights must be positive")
+        if sum(self.weights) != self.denom:
+            raise ValueError("weights must sum to the denominator exactly")
+        if math.gcd(self.denom, *self.weights) != 1:
+            raise ValueError("weights and denominator must be in lowest terms")
 
     @classmethod
-    def from_mapping(cls, mapping: Mapping[Value, Fraction]) -> "ExactPmf":
-        items = sorted((_as_exact(v), Fraction(p)) for v, p in mapping.items() if p != 0)
-        return cls(tuple(v for v, _ in items), tuple(p for _, p in items))
+    def from_weights(cls, pairs: Iterable[tuple[Value, int]], denom: int) -> "ExactPmf":
+        """The law ``value -> weight / denom`` of ``(value, weight)`` pairs:
+        equal values merge, zero weights drop out, and the weights and
+        ``denom`` are divided by their common gcd."""
+        merged: dict[Value, int] = {}
+        for v, w in pairs:
+            v = _as_exact(v)
+            merged[v] = merged.get(v, 0) + w
+        items = sorted((v, w) for v, w in merged.items() if w)
+        g = math.gcd(denom, *(w for _, w in items)) or 1
+        return cls(tuple(v for v, _ in items), tuple(w // g for _, w in items), denom // g)
 
-    def items(self) -> Iterable[tuple[Value, Fraction]]:
-        return zip(self.values, self.probs)
+    @property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(w, self.denom) for w in self.weights)
 
     def mean(self) -> Fraction:
-        return _exact_sum(p * v for v, p in self.items())
+        return self.moment(1)
 
     def moment(self, r: int) -> Fraction:
         if r < 0:
             raise ValueError("moment order must be >= 0")
-        return _exact_sum(p * v**r for v, p in self.items())
+        return Fraction(sum(w * v**r for v, w in zip(self.values, self.weights)), self.denom)
 
     def abs_moment(self, r: int) -> Fraction:
-        return _exact_sum(p * abs(v) ** r for v, p in self.items())
+        return Fraction(sum(w * abs(v) ** r for v, w in zip(self.values, self.weights)), self.denom)
 
     def pushforward(self, fn: Callable[[Value], Value]) -> "ExactPmf":
-        out: dict[Value, Fraction] = {}
-        for v, p in self.items():
-            w = _as_exact(fn(v))
-            out[w] = out[w] + p if w in out else p
-        return ExactPmf.from_mapping(out)
+        pairs = ((fn(v), w) for v, w in zip(self.values, self.weights))
+        return ExactPmf.from_weights(pairs, self.denom)
 
 
 def odd_count_pmf(n: int) -> ExactPmf:
@@ -188,12 +192,9 @@ def odd_count_pmf(n: int) -> ExactPmf:
     if n < 1:
         raise ValueError("tree size must be >= 1")
     if n == 1:
-        return ExactPmf((0,), (Fraction(1),))
-    row = _row_values(n - 1)
-    denom = math.factorial(n - 1)
-    # the law is symmetric (ell <-> n - ell), like the row: reduce half of it
-    half = [Fraction(c, denom) for c in row[: n // 2]]
-    return ExactPmf(tuple(range(1, n)), tuple(half + half[: (n - 1) // 2][::-1]))
+        return ExactPmf((0,), (1,), 1)
+    # the row in lowest terms already: its first entry is 1
+    return ExactPmf(tuple(range(1, n)), tuple(_row_values(n - 1)), math.factorial(n - 1))
 
 
 def delta_pmf(n: int) -> ExactPmf:

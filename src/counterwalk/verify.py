@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -101,60 +101,40 @@ def brute_force_walk_pmf(n: int, p: Number, law: StepLaw) -> ExactPmf:
         raise ValueError("horizon must be >= 1")
     if n > WALK_ORACLE_MAX_N:
         raise ValueError(f"walk oracle capped at n <= {WALK_ORACLE_MAX_N}")
-    if law.discrete_support is None or law.discrete_probs is None:
+    if law.pmf is None:
         raise ValueError("walk oracle needs a finitely supported step law")
-    c = law.discrete_support[-1]
-    if any(abs(v) != abs(c) for v in law.discrete_support):
+    c = law.pmf.values[-1]
+    if any(abs(v) != abs(c) for v in law.pmf.values):
         raise ValueError("walk oracle needs a step law on {+c, -c}")
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
-    q = law.discrete_probs[-1]
 
     # w[j]: weight of j steps +c among the first m, over s * (b s)**(m-1) * (m-1)!
     a, b = p.numerator, p.denominator
-    r, s = q.numerator, q.denominator
+    r, s = law.pmf.weights[-1], law.pmf.denom
     w = [s - r, r]
     for k in range(1, n):
         up = [a * r * k + (b - a) * s * (k - j) for j in range(k + 1)]
         down = [b * s * k - u for u in up]
         w = [x * d + y * u for x, d, y, u in zip(w + [0], down + [0], [0] + w, [0] + up)]
     den = s * (b * s) ** (n - 1) * math.factorial(n - 1)
-    out: dict[Number, Fraction] = {}
-    for j, x in enumerate(w):
-        value = c * (2 * j - n)
-        out[value] = out.get(value, 0) + Fraction(x, den)
-    return ExactPmf.from_mapping(out)
+    # `dirac:0` sends every state to 0: `from_weights` merges equal values
+    return ExactPmf.from_weights(((c * (2 * j - n), x) for j, x in enumerate(w)), den)
 
 
-def _as_prob_items(dist: "ExactPmf | Mapping[Number, Number]") -> list[tuple[Number, Fraction | float]]:
-    if isinstance(dist, ExactPmf):
-        return list(dist.items())
-    if isinstance(dist, Mapping):
-        if not dist:
-            raise ValueError("empty distribution")
-        total = sum(dist.values())
-        if total <= 0:
-            raise ValueError("distribution weights must have positive total")
-        if any(w < 0 for w in dist.values()):
-            raise ValueError("distribution weights must be nonnegative")
-        if all(isinstance(w, (int, Fraction)) for w in dist.values()):
-            return [(v, Fraction(w) / Fraction(total)) for v, w in dist.items()]
-        return [(v, float(w) / float(total)) for v, w in dist.items()]
-    raise ValueError("expected an ExactPmf or a value -> weight mapping")
-
-
-def tv_distance(a: "ExactPmf | Mapping[Number, Number]", b: "ExactPmf | Mapping[Number, Number]") -> float:
+def tv_distance(a: ExactPmf, b: ExactPmf) -> float:
     """Total variation distance: half the L1 gap between two pmfs.
 
-    Inputs may be exact pmfs or raw histograms (value -> count); histograms
-    are normalized.  Values must live on a common lattice of exact numbers
+    A histogram enters as ``ExactPmf.from_weights(counts, total)``.  Each
+    probability is ``weight / denom``, the correctly rounded float of the
+    exact ratio.  Values must live on a common lattice of exact numbers
     (Python's numeric hashing makes 1, 1.0 and Fraction(1) the same key).
     """
-    da = dict(_as_prob_items(a))
-    db = dict(_as_prob_items(b))
+    da = {v: w / a.denom for v, w in zip(a.values, a.weights)}
+    db = {v: w / b.denom for v, w in zip(b.values, b.weights)}
     keys = set(da) | set(db)
-    gap = sum(abs(float(da.get(k, 0)) - float(db.get(k, 0))) for k in keys)
+    gap = sum(abs(da.get(k, 0.0) - db.get(k, 0.0)) for k in keys)
     return 0.5 * gap
 
 

@@ -32,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from .eulerian import _as_exact
+from .eulerian import ExactPmf, _as_exact
 from .replication import child_seed
 
 Number = Union[int, float, Fraction]
@@ -45,39 +45,35 @@ class StepLaw:
     """Step distribution with sampler and exact moments where they exist.
 
     ``m1``/``m2`` are present iff analytically finite, as exact rationals.
-    ``discrete_support``/``discrete_probs`` are set only for finitely
-    supported laws (they feed the exact walk oracle).
+    ``pmf`` is set only for finitely supported laws (it feeds the exact
+    walk oracle).
     """
 
     kind: str
     params: tuple[Fraction, ...]
     m1: Fraction | None
     m2: Fraction | None
-    discrete_support: tuple[Number, ...] | None
-    discrete_probs: tuple[Fraction, ...] | None
+    pmf: ExactPmf | None
 
     @classmethod
     def rademacher(cls) -> "StepLaw":
-        return cls(
-            "rademacher", (), Fraction(0), Fraction(1),
-            (-1, 1), (Fraction(1, 2), Fraction(1, 2)),
-        )
+        return cls("rademacher", (), Fraction(0), Fraction(1), ExactPmf((-1, 1), (1, 1), 2))
 
     @classmethod
     def dirac(cls, c: Number) -> "StepLaw":
         c = Fraction(c)
-        return cls("dirac", (c,), c, c * c, (_as_exact(c),), (Fraction(1),))
+        return cls("dirac", (c,), c, c * c, ExactPmf((_as_exact(c),), (1,), 1))
 
     @classmethod
     def uniform_symmetric(cls) -> "StepLaw":
-        return cls("uniform", (), Fraction(0), Fraction(1, 3), None, None)
+        return cls("uniform", (), Fraction(0), Fraction(1, 3), None)
 
     @classmethod
     def gaussian(cls, mean: Number, variance: Number) -> "StepLaw":
         mean, variance = Fraction(mean), Fraction(variance)
         if variance < 0:
             raise ValueError("gaussian variance must be >= 0")
-        return cls("gauss", (mean, variance), mean, variance + mean * mean, None, None)
+        return cls("gauss", (mean, variance), mean, variance + mean * mean, None)
 
     @classmethod
     def pareto_symmetric(cls, alpha: Number) -> "StepLaw":
@@ -86,7 +82,7 @@ class StepLaw:
             raise ValueError("pareto exponent must be > 0")
         m1 = Fraction(0) if alpha > 1 else None
         m2 = alpha / (alpha - 2) if alpha > 2 else None
-        return cls("pareto", (alpha,), m1, m2, None, None)
+        return cls("pareto", (alpha,), m1, m2, None)
 
     def spec_string(self) -> str:
         """Canonical spec string; `parse_mu_spec` round-trips it."""
@@ -308,12 +304,14 @@ class WalkRun:
         return len(self.x)
 
     def as_float(self, a: np.ndarray) -> np.ndarray:
-        """Float64 values of ``a``, one of this run's step or sum arrays
-        (correctly rounded while ``|a| * numerator`` stays below 2**53)."""
+        """Float64 values of ``a``, one of this run's step or sum arrays,
+        each correctly rounded: a lattice count times the step's numerator
+        is a Python integer, divided once by its denominator."""
         step = self.law.lattice_step
         if step is None:
             return a
-        return a * step.numerator / step.denominator
+        num, den = step.numerator, step.denominator
+        return np.array([u * num / den for u in a.tolist()], dtype=np.float64)
 
 
 def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -54,6 +55,18 @@ class TestExactCommands:
             "5,4935,839808\n"
             "7,9,839808\n"
         )
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("delta-pmf", "--n", "420"),
+         "8c0eee40228efcde16748e967f901fdb9ef955dfabcdbc88d371010352ffa4be"),
+        (("walk-oracle", "--n", "300", "--p", "1/3", "--mu", "rademacher"),
+         "a761ad9e61924af99f19d846b9d46c39feed472def59c64c699113878f51cde8"),
+    ])
+    def test_large_table_bytes_are_pinned(self, capsys, argv, digest):
+        # sha256 of stdout as printed when every probability was its own Fraction
+        code, out, _ = run_cli(capsys, "exact", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_walk_oracle_cap_exit_code(self, capsys):
         code, _, err = run_cli(
@@ -142,6 +155,20 @@ class TestSimulateCommand:
         assert len(traj) == 2 * 3  # steps 10, 20, 30 for each of 2 reps
         steps = [int(row.split(",")[1]) for row in traj]
         assert steps == [10, 20, 30, 10, 20, 30]
+
+    @pytest.mark.parametrize("c", [10**15, 10**20])
+    def test_trajectory_of_a_large_step_is_exact(self, capsys, c):
+        # S_hat at step m is m * c; int64 products overflowed past 2**63
+        code, out, _ = run_cli(
+            capsys, "simulate", "--n", "20000", "--p", "1/2", "--mu", f"dirac:{c}",
+            "--reps", "1", "--traj-every", "5000",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        summary = lines[2].split(",")
+        traj = [row.split(",") for row in lines[4:]]
+        assert [float(row[3]) for row in traj] == [float(m * c) for m in (5000, 10000, 15000, 20000)]
+        assert traj[-1][2:] == summary[3:5]
 
     def test_replica_prefix_is_stable(self, tmp_path):
         argv_base = [

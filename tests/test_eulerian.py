@@ -157,17 +157,20 @@ class TestRowsPastTheCap:
 
 class TestOddCountPmf:
     def test_single_vertex(self):
-        assert dict(odd_count_pmf(1).items()) == {0: Fraction(1)}
+        assert odd_count_pmf(1) == ExactPmf((0,), (1,), 1)
 
     def test_two_vertices(self):
-        assert dict(odd_count_pmf(2).items()) == {1: Fraction(1)}
+        assert odd_count_pmf(2) == ExactPmf((1,), (1,), 1)
 
     def test_four_vertices(self):
-        assert dict(odd_count_pmf(4).items()) == {
-            1: Fraction(1, 6),
-            2: Fraction(4, 6),
-            3: Fraction(1, 6),
-        }
+        assert odd_count_pmf(4) == ExactPmf((1, 2, 3), (1, 4, 1), 6)
+        assert odd_count_pmf(4).probs == (Fraction(1, 6), Fraction(2, 3), Fraction(1, 6))
+
+    def test_weights_are_the_eulerian_row_over_the_factorial(self):
+        for n in (2, 10, 201, 300):
+            pmf = odd_count_pmf(n)
+            assert pmf.weights == eulerian_row(n - 1).values
+            assert pmf.denom == math.factorial(n - 1)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -176,16 +179,16 @@ class TestOddCountPmf:
     @given(st.integers(min_value=2, max_value=40))
     def test_symmetric_about_half_size(self, n):
         pmf = odd_count_pmf(n)
-        probs = dict(pmf.items())
-        for ell in range(1, n):
-            assert probs[ell] == probs[n - ell]
+        assert pmf.values == tuple(range(1, n))
+        assert pmf.weights == pmf.weights[::-1]
 
 
 class TestDeltaPmf:
     def test_examples(self):
-        assert dict(delta_pmf(1).items()) == {1: Fraction(1)}
-        assert dict(delta_pmf(2).items()) == {0: Fraction(1)}
-        assert dict(delta_pmf(3).items()) == {-1: Fraction(1, 2), 1: Fraction(1, 2)}
+        assert delta_pmf(1) == ExactPmf((1,), (1,), 1)
+        assert delta_pmf(2) == ExactPmf((0,), (1,), 1)
+        assert delta_pmf(3) == ExactPmf((-1, 1), (1, 1), 2)
+        assert delta_pmf(4) == ExactPmf((-2, 0, 2), (1, 4, 1), 6)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -218,29 +221,54 @@ class TestDeltaPmf:
 
 class TestExactPmf:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ExactPmf((1, 0), (Fraction(1, 2), Fraction(1, 2)))  # unsorted
-        with pytest.raises(ValueError):
-            ExactPmf((0, 1), (Fraction(1, 2), Fraction(1, 4)))  # sums below 1
-        with pytest.raises(ValueError):
-            ExactPmf((), ())
+        with pytest.raises(ValueError, match="sorted"):
+            ExactPmf((1, 0), (1, 1), 2)
+        with pytest.raises(ValueError, match="sum"):
+            ExactPmf((0, 1), (2, 1), 4)  # 3/4 of the mass
+        with pytest.raises(ValueError, match="positive"):
+            ExactPmf((0, 1), (0, 1), 1)
+        with pytest.raises(ValueError, match="nonempty"):
+            ExactPmf((), (), 1)
+        with pytest.raises(ValueError, match="aligned"):
+            ExactPmf((0, 1), (1,), 1)
 
     def test_rejects_big_denominator_mass_short_of_one(self):
+        # short by exactly 1/(n-1)! at n = 30
         n = 30
         law = odd_count_pmf(n)
-        short = Fraction(1, math.factorial(n - 1))
-        probs = (law.probs[0],) + (law.probs[1] - short,) + law.probs[2:]
-        assert sum(probs) == 1 - short
-        with pytest.raises(ValueError):
-            ExactPmf(law.values, probs)
+        weights = (law.weights[0], law.weights[1] - 1) + law.weights[2:]
+        assert law.denom == math.factorial(n - 1)
+        assert sum(weights) == law.denom - 1
+        with pytest.raises(ValueError, match="sum"):
+            ExactPmf(law.values, weights, law.denom)
+
+    def test_rejects_weights_not_in_lowest_terms(self):
+        with pytest.raises(ValueError, match="lowest terms"):
+            ExactPmf((0, 1), (2, 2), 4)
+        law = odd_count_pmf(30)
+        with pytest.raises(ValueError, match="lowest terms"):
+            ExactPmf(law.values, tuple(3 * w for w in law.weights), 3 * law.denom)
+
+    def test_from_weights_merges_drops_sorts_and_reduces(self):
+        pmf = ExactPmf.from_weights([(2, 1), (0, 0), (1, 2), (2, 3), (Fraction(1), 0)], 6)
+        assert pmf == ExactPmf((1, 2), (1, 2), 3)
+        assert [type(v) for v in pmf.values] == [int, int]
+        assert ExactPmf.from_weights([(Fraction(4, 2), 5)], 5) == ExactPmf((2,), (1,), 1)
+
+    def test_equal_laws_compare_equal(self):
+        a = ExactPmf.from_weights([(0, 3), (1, 3)], 6)
+        b = ExactPmf.from_weights([(1, 50), (0, 50)], 100)
+        assert a == b == ExactPmf((0, 1), (1, 1), 2)
+        assert hash(a) == hash(b)
 
     def test_pushforward_merges(self):
-        pmf = ExactPmf((-1, 1), (Fraction(1, 2), Fraction(1, 2)))
-        sq = pmf.pushforward(lambda v: v * v)
-        assert dict(sq.items()) == {1: Fraction(1)}
+        pmf = ExactPmf((-1, 1), (1, 1), 2)
+        assert pmf.pushforward(lambda v: v * v) == ExactPmf((1,), (1,), 1)
+        sq = ExactPmf((-2, -1, 0, 1, 2), (1, 2, 3, 2, 1), 9).pushforward(lambda v: v * v)
+        assert sq == ExactPmf((0, 1, 4), (3, 4, 2), 9)
 
     def test_mean_and_moment(self):
-        pmf = ExactPmf((0, 3), (Fraction(2, 3), Fraction(1, 3)))
+        pmf = ExactPmf((0, 3), (2, 1), 3)
         assert pmf.mean() == 1
         assert pmf.moment(2) == 3
         assert pmf.abs_moment(1) == 1

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from counterwalk.eulerian import delta_moment, odd_count_pmf
+from counterwalk.eulerian import ExactPmf, delta_moment, odd_count_pmf
 from counterwalk.recursive_tree import (
     ENUMERATION_CAP,
     increasing_tree_deltas,
@@ -60,10 +60,7 @@ def enumerate_increasing_trees(k: int, cap: int = ENUMERATION_CAP) -> list[Tree]
 
 
 def _hist(values):
-    out = {}
-    for v in values:
-        out[int(v)] = out.get(int(v), 0) + 1
-    return out
+    return ExactPmf.from_weights(((int(v), 1) for v in values), len(values))
 
 
 class TestTree:

@@ -87,14 +87,21 @@ def enumerated_walk_pmf(n, p, law):
         eps_weight = p ** (innovations - 1) * (1 - p) ** (n - innovations)
         if eps_weight == 0:
             continue
-        for value, q in _delta_convolution(deltas, law.discrete_support, law.discrete_probs):
+        for value, q in _delta_convolution(deltas, law.pmf.values, law.pmf.probs):
             out[value] = out.get(value, Fraction(0)) + eps_weight * weight * q
-    return ExactPmf.from_mapping(out)
+    # the Fraction sums as weights over their lcm
+    den = math.lcm(*(q.denominator for q in out.values()))
+    weights = ((v, q.numerator * (den // q.denominator)) for v, q in out.items())
+    return ExactPmf.from_weights(weights, den)
+
+
+def _probs(pmf):
+    return dict(zip(pmf.values, pmf.probs))
 
 
 class TestBruteForce:
     def test_single_step(self):
-        assert dict(brute_force_walk_pmf(1, HALF, StepLaw.dirac(1)).items()) == {1: Fraction(1)}
+        assert brute_force_walk_pmf(1, HALF, StepLaw.dirac(1)) == ExactPmf((1,), (1,), 1)
 
     def test_two_steps_point_mass(self):
         # innovation stacks 1+1, counterbalance cancels 1-1
@@ -105,12 +112,12 @@ class TestBruteForce:
                 expected[0] = 1 - p
             if p > 0:
                 expected[2] = p
-            assert dict(pmf.items()) == expected
+            assert _probs(pmf) == expected
 
     def test_two_steps_rademacher(self):
         p = Fraction(1, 3)
         pmf = brute_force_walk_pmf(2, p, StepLaw.rademacher())
-        assert dict(pmf.items()) == {
+        assert _probs(pmf) == {
             -2: p / 4,
             0: p / 2 + (1 - p),
             2: p / 4,
@@ -126,10 +133,15 @@ class TestBruteForce:
         for n in (1, 2, 7, 50):
             pmf = brute_force_walk_pmf(n, Fraction(1), StepLaw.rademacher())
             binomial = {2 * j - n: Fraction(math.comb(n, j), 2**n) for j in range(n + 1)}
-            assert dict(pmf.items()) == binomial
+            assert _probs(pmf) == binomial
             for c in (1, Fraction(1, 2), -2):
                 point = brute_force_walk_pmf(n, Fraction(1), StepLaw.dirac(c))
-                assert dict(point.items()) == {n * c: 1}
+                assert point == ExactPmf((n * c,), (1,), 1)
+
+    def test_zero_step_merges_every_state_at_zero(self):
+        for n in (1, 2, 7, 100):
+            for p in P_GRID:
+                assert brute_force_walk_pmf(n, p, StepLaw.dirac(0)) == ExactPmf((0,), (1,), 1)
 
     def test_mean_matches_exact_recursion(self):
         for n in (*range(1, 7), 100, 300):
@@ -151,7 +163,7 @@ class TestBruteForce:
 
     def test_scaled_point_mass_support(self):
         pmf = brute_force_walk_pmf(2, HALF, StepLaw.dirac(Fraction(1, 2)))
-        assert dict(pmf.items()) == {0: HALF, 1: HALF}
+        assert pmf == ExactPmf((0, 1), (1, 1), 2)
 
     def test_caps(self):
         n = WALK_ORACLE_MAX_N
@@ -164,7 +176,7 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_walk_pmf(3, HALF, StepLaw.uniform_symmetric())
         with pytest.raises(ValueError, match="on {\\+c, -c}"):
-            brute_force_walk_pmf(3, HALF, StepLaw("custom", (), HALF, HALF, (0, 1), (HALF, HALF)))
+            brute_force_walk_pmf(3, HALF, StepLaw("custom", (), HALF, HALF, ExactPmf((0, 1), (1, 1), 2)))
         with pytest.raises(ValueError):
             brute_force_walk_pmf(0, HALF, StepLaw.dirac(1))
 
@@ -174,30 +186,42 @@ class TestTvDistance:
         assert tv_distance(odd_count_pmf(5), odd_count_pmf(5)) == 0.0
 
     def test_disjoint_supports(self):
-        a = {0: 1}
-        b = {1: 1}
+        a = ExactPmf((0,), (1,), 1)
+        b = ExactPmf((1,), (1,), 1)
         assert tv_distance(a, b) == 1.0
 
     def test_histogram_against_pmf(self):
-        hist = {1: 10, 2: 40, 3: 10}
-        assert tv_distance(hist, odd_count_pmf(4)) == pytest.approx(0.0)
+        hist = ExactPmf.from_weights([(1, 10), (2, 40), (3, 10)], 60)
+        assert hist == odd_count_pmf(4)
+        assert tv_distance(hist, odd_count_pmf(4)) == 0.0
+        near = ExactPmf.from_weights([(1, 11), (2, 39), (3, 10)], 60)
+        assert tv_distance(near, odd_count_pmf(4)) == pytest.approx(1 / 60)
 
     def test_mixed_key_types_share_a_lattice(self):
-        assert tv_distance({1: 1}, {1.0: 1.0}) == pytest.approx(0.0)
+        one = ExactPmf((1,), (1,), 1)
+        assert tv_distance(one, ExactPmf((1.0,), (1,), 1)) == 0.0
+        assert tv_distance(one, ExactPmf((Fraction(1),), (1,), 1)) == 0.0
+
+    def test_denominator_past_the_float_range(self):
+        # 299! has 613 digits: each weight / denom must be one int division
+        pmf = odd_count_pmf(300)
+        mode = ExactPmf((150,), (1,), 1)
+        assert tv_distance(pmf, mode) == pytest.approx(1 - float(pmf.probs[149]), rel=1e-12)
 
     def test_rejects_bad_input(self):
+        # a histogram is built by `from_weights`, which rejects what is not a law
         with pytest.raises(ValueError):
-            tv_distance({}, {0: 1})
+            ExactPmf.from_weights([], 0)
         with pytest.raises(ValueError):
-            tv_distance({0: -1, 1: 2}, {0: 1})
-        with pytest.raises(ValueError):
-            tv_distance(3, {0: 1})
+            ExactPmf.from_weights([(0, -1), (1, 2)], 1)
 
     @given(
         st.dictionaries(st.integers(-5, 5), st.integers(1, 50), min_size=1, max_size=8),
         st.dictionaries(st.integers(-5, 5), st.integers(1, 50), min_size=1, max_size=8),
     )
     def test_bounds_and_symmetry(self, a, b):
+        a = ExactPmf.from_weights(a.items(), sum(a.values()))
+        b = ExactPmf.from_weights(b.items(), sum(b.values()))
         d = tv_distance(a, b)
         assert 0 <= d <= 1 + 1e-12
         assert d == pytest.approx(tv_distance(b, a))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counterwalk.eulerian import ExactPmf
 from counterwalk.replication import child_seed
 from counterwalk.verify import brute_force_walk_pmf, tv_distance
 from counterwalk.walk_engine import (
@@ -79,7 +80,12 @@ class TestStepLaw:
     @pytest.mark.parametrize("spec", ["rademacher", "dirac:1/2", "uniform", "gauss:0,1", "pareto:3/2"])
     def test_exact_iff_lattice_iff_finite_support(self, spec):
         law = parse_mu_spec(spec)
-        assert law.exact == (law.lattice_step is not None) == (law.discrete_support is not None)
+        assert law.exact == (law.lattice_step is not None) == (law.pmf is not None)
+
+    def test_finite_laws_carry_their_pmf(self):
+        assert StepLaw.rademacher().pmf == ExactPmf((-1, 1), (1, 1), 2)
+        assert StepLaw.dirac(Fraction(3, 2)).pmf == ExactPmf((Fraction(3, 2),), (1,), 1)
+        assert [type(v) for v in parse_mu_spec("dirac:4/2").pmf.values] == [int]
 
     def test_pareto_moment_availability(self):
         assert StepLaw.pareto_symmetric(Fraction(3, 2)).m1 == 0
@@ -260,6 +266,16 @@ class TestSimulate:
             float(sum(steps[:m])) for m in range(1, 501)
         ]
 
+    @pytest.mark.parametrize("c", [10**15, 10**20, Fraction(10**17 + 1, 3)])
+    def test_as_float_rounds_large_lattice_values_once(self, c):
+        # int64 products of these counts and numerators overflow
+        n = 20_000
+        run = simulate(n, Fraction(1, 2), StepLaw.dirac(c), 4)
+        assert run.as_float(run.s_hat).tolist() == [float(m * c) for m in range(1, n + 1)]
+        counts = run.s_check.tolist()
+        assert run.as_float(run.s_check).tolist() == [float(k * c) for k in counts]
+        assert run.as_float(run.s_check)[-1] == float(run.final_check)
+
 
 class TestForestCensus:
     @given(
@@ -375,7 +391,7 @@ class TestBatch:
         pmf = brute_force_walk_pmf(5, Fraction(1, 2), StepLaw.rademacher())
         batch = simulate_batch(5, Fraction(1, 2), StepLaw.rademacher(), 20_000, 77, census=False)
         values, counts = np.unique(np.rint(batch.s_check).astype(int), return_counts=True)
-        hist = {int(v): int(c) for v, c in zip(values, counts)}
+        hist = ExactPmf.from_weights(zip(values.tolist(), counts.tolist()), batch.s_check.size)
         assert tv_distance(hist, pmf) <= 0.05
 
     @pytest.mark.parametrize("n,p,law,reps", [
