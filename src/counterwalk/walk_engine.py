@@ -20,7 +20,8 @@ and then ``n`` pick uniforms (step ``j`` picks ``floor(uniform * j)``);
 replica and step order.  A narrower block draws a prefix of a wider one.
 Lattice laws (``rademacher``, ``dirac``) are simulated as int64 multiples of
 their lattice step, so their sums are exact; float laws finish their sums
-with `math.fsum` and compensate their partial sums.
+correctly rounded (the value `math.fsum` returns), by exact integer binning
+(`_float_total`), and compensate their partial sums.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -61,7 +63,7 @@ class StepLaw:
 
     @classmethod
     def dirac(cls, c: Number) -> "StepLaw":
-        c = Fraction(c)
+        c = _float_sized(Fraction(c), "dirac value")
         return cls("dirac", (c,), c, c * c, ExactPmf((_as_exact(c),), (1,), 1))
 
     @classmethod
@@ -70,15 +72,16 @@ class StepLaw:
 
     @classmethod
     def gaussian(cls, mean: Number, variance: Number) -> "StepLaw":
-        mean, variance = Fraction(mean), Fraction(variance)
+        mean = _float_sized(Fraction(mean), "gaussian mean")
+        variance = _float_sized(Fraction(variance), "gaussian variance")
         if variance < 0:
             raise ValueError("gaussian variance must be >= 0")
         return cls("gauss", (mean, variance), mean, variance + mean * mean, None)
 
     @classmethod
     def pareto_symmetric(cls, alpha: Number) -> "StepLaw":
-        alpha = Fraction(alpha)
-        if alpha <= 0:
+        alpha = _float_sized(Fraction(alpha), "pareto exponent")
+        if float(alpha) <= 0:  # also refuses an exponent that rounds to 0.0
             raise ValueError("pareto exponent must be > 0")
         m1 = Fraction(0) if alpha > 1 else None
         m2 = alpha / (alpha - 2) if alpha > 2 else None
@@ -136,6 +139,16 @@ class StepLaw:
         x **= -1.0 / float(self.params[0])
         np.negative(x, out=x, where=u[:, 1] < 0.5)
         return x
+
+
+def _float_sized(x: Fraction, name: str) -> Fraction:
+    """``x``, once its float64 value is known to be finite: the samplers
+    draw in float64."""
+    try:
+        float(x)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+    return x
 
 
 def parse_mu_spec(spec: str) -> StepLaw:
@@ -234,10 +247,48 @@ def _block(seed: int, n: int, p: float, w: int) -> tuple:
 
 def _total(law: StepLaw, a: np.ndarray) -> Number:
     """Sum of an array of step values: exact for lattice laws (``a`` counts
-    lattice steps), correctly rounded (`math.fsum`) for float laws."""
+    lattice steps); for float laws correctly rounded (the value `math.fsum`
+    returns), by exact integer binning (`_float_total`)."""
     if law.exact:
         return _as_exact(law.lattice_step * int(a.sum()))
-    return math.fsum(a.tolist())
+    return _float_total(a)
+
+
+def _float_total(a: np.ndarray) -> float:
+    """Correctly rounded sum of a float64 array, without one Python float
+    per value (binned exact summation, as in Neal 2015, arXiv:1505.05571).
+
+    ``frexp`` writes each value as ``f * 2**e`` with ``0.5 <= |f| < 1``
+    (subnormals included), so ``f * 2**53`` is an integer; it is cut into
+    signed pieces of 17, 18 and 18 bits, and each piece is summed into the
+    bin of ``e`` with `np.bincount`.  A bin's float64 sum stays exact while
+    it holds fewer than 2**35 values, so for any input under 256 GiB.  The
+    bins are then combined in Python integers and divided once, correctly
+    rounded.  Equals `math.fsum` wherever that returns a value;
+    an exact sum beyond the float range raises `OverflowError`, and a
+    non-finite input gets exactly `math.fsum`'s value or error.
+    """
+    if not np.isfinite(a).all():
+        return math.fsum(a.tolist())
+    frac, exp = np.frexp(a)
+    key = exp.astype(np.intp)
+    key += 1073  # frexp exponents of finite doubles lie in -1073..1024
+    frac *= 2.0 ** 17
+    piece = np.trunc(frac)
+    hi = np.bincount(key, weights=piece)
+    frac -= piece
+    frac *= 2.0 ** 18
+    np.trunc(frac, out=piece)
+    mid = np.bincount(key, weights=piece)
+    frac -= piece
+    frac *= 2.0 ** 18
+    lo = np.bincount(key, weights=frac)
+    used = np.flatnonzero((hi != 0) | (mid != 0) | (lo != 0))
+    total = 0
+    for k, h, m, low in zip(used.tolist(), hi[used].tolist(), mid[used].tolist(), lo[used].tolist()):
+        total += ((int(h) << 36) + (int(m) << 18) + int(low)) << k
+    # a value in bin k is (its 53-bit integer) * 2**(k - 1126)
+    return total / (1 << 1126)
 
 
 def _running_sum(a: np.ndarray) -> np.ndarray:
@@ -252,7 +303,7 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
     return s + np.cumsum((prev - (s - b)) + (a - b))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class WalkRun:
     """One realization of the coupled pair of walks.
 
@@ -275,9 +326,10 @@ class WalkRun:
     tree_id: np.ndarray
     parity: np.ndarray
 
-    @property
+    @cached_property
     def x_check(self) -> np.ndarray:
-        """Counterbalanced steps: the tree's draw, negated at odd depth."""
+        """Counterbalanced steps: the tree's draw, negated at odd depth
+        (computed once per run)."""
         base = self.x[self.tree_id - 1]
         return np.where(self.parity, -base, base)
 
@@ -366,8 +418,9 @@ def forest_census(run: WalkRun, shape_cap: int = 6) -> ForestCensus:
     tree.
     """
     counts, deltas = _tree_stats(run)
-    sizes, freq = np.unique(counts, return_counts=True)
-    nu = dict(zip(sizes.tolist(), freq.tolist()))
+    freq = np.bincount(counts)
+    sizes = np.flatnonzero(freq)
+    nu = dict(zip(sizes.tolist(), freq[sizes].tolist()))
     nu_shape: dict[tuple[int, ...], int] = {}
     if shape_cap >= 1 and 1 in nu:
         nu_shape[()] = nu[1]

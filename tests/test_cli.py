@@ -200,6 +200,13 @@ class TestSimulateCommand:
         code, _, err = run_cli(capsys, "simulate", "--n", "5", "--p", "7/2", "--mu", "dirac:1")
         assert code == 2
 
+    @pytest.mark.parametrize("mu", ["dirac:1e400", "gauss:0,1e700", "gauss:-1e400,1", "pareto:1e400"])
+    def test_law_parameter_beyond_float_range_exit_code(self, capsys, mu):
+        code, out, err = run_cli(capsys, "simulate", "--n", "20", "--p", "1/2", "--mu", mu, "--reps", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: invalid step-law spec '{mu}'") and "too large for a float" in err
+
 
 class TestLimitsCommand:
     def test_known_constants(self, capsys):
@@ -265,9 +272,9 @@ class TestLimitsCommand:
 class TestVerifyCommand:
     def test_json_stream_and_exit_zero_on_tiny_subset(self, capsys, monkeypatch):
         # run only the exact criteria through the real CLI entry point by
-        # monkeypatching the suite: full runs are exercised in the
-        # acceptance tests
-        import counterwalk.cli as cli_mod
+        # monkeypatching the suite, which the handler imports when called:
+        # full runs are exercised in the acceptance tests
+        import counterwalk.acceptance as acceptance
         from counterwalk.acceptance import run_criterion
 
         def tiny_run_all(seed, fast, emit, done):
@@ -280,7 +287,7 @@ class TestVerifyCommand:
                 reports += batch
             return reports
 
-        monkeypatch.setattr(cli_mod, "run_all", tiny_run_all)
+        monkeypatch.setattr(acceptance, "run_all", tiny_run_all)
         code, out, err = run_cli(capsys, "verify", "all", "--seed", "1", "--fast")
         assert code == 0
         lines = out.strip().splitlines()
@@ -366,3 +373,43 @@ def test_ks_check_runs_without_scipy():
              "r = ks_normal(np.random.default_rng(0).normal(size=500), 0.0, 1.0); "
              "print(r.passed, 'scipy' in sys.modules)")
     assert run_python("-c", probe).stdout.strip() == "True False"
+
+
+LAZY_MODULES = ("counterwalk.acceptance", "counterwalk.verify", "counterwalk.asymptotics",
+                "counterwalk.recursive_tree")
+
+
+def test_simulate_loads_only_the_engine():
+    # the acceptance suite, the verifier and the asymptotics are imported by
+    # the handlers that use them, so a simulate process never pays for them
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "from counterwalk import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = cli.main(['simulate', '--n', '300', '--p', '1/2', '--mu', 'gauss:0,1', '--reps', '2',",
+        "                     '--traj-every', '100'])",
+        f"print(code, sorted(m for m in {LAZY_MODULES!r} if m in sys.modules))",
+    ])
+    assert run_python("-c", probe).stdout.strip() == "0 []"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "all", "--fast"), None),
+    (("limits", "stable", "--alpha", "1.5", "--p", "1/2", "--theta", "0.7"), None),
+    (("limits", "--p", "1/2", "--mu", "gauss:0,1"),
+     "4e052606a50704de5fc696f0562e05c0c35bdb6d90ee95cc5fdfa8cbdfda703c"),
+    (("exact", "walk-oracle", "--n", "7", "--p", "1/3", "--mu", "rademacher"),
+     "409ffcef2c2f49feed10a61fb25833043245cc8f5ff0a56fa6e3473e40dcd787"),
+    (("sample", "rrt", "--n", "500", "--reps", "20", "--seed", "4"),
+     "b152113037a523eed7b9203be96207c350b55f9901bdf0c7331c7accc451696e"),
+])
+def test_commands_that_import_their_own_layers(capsys, argv, digest):
+    # a cold process, which loads each layer inside its handler, prints what
+    # this process (every layer already loaded) prints; the digests are the
+    # sha256 of stdout from when the CLI imported every layer at start-up
+    fresh = run_python("-m", "counterwalk", *argv)
+    assert fresh.returncode == 0, fresh.stderr
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and fresh.stdout == out
+    if digest is not None:
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from counterwalk.eulerian import ExactPmf
 from counterwalk.replication import child_seed
@@ -13,6 +16,7 @@ from counterwalk.verify import brute_force_walk_pmf, tv_distance
 from counterwalk.walk_engine import (
     _BLOCK_CELLS,
     StepLaw,
+    _float_total,
     decompose,
     forest,
     forest_census,
@@ -65,6 +69,28 @@ class TestStepLaw:
         for bad in ("cauchy", "dirac", "dirac:x", "gauss:1", "gauss:1,2,3", "pareto:0", "pareto:-1", "uniform:3"):
             with pytest.raises(ValueError):
                 parse_mu_spec(bad)
+
+    @pytest.mark.parametrize("make", [
+        lambda: StepLaw.dirac(10**400),
+        lambda: StepLaw.dirac(-(10**400)),
+        lambda: StepLaw.gaussian(0, 10**700),
+        lambda: StepLaw.gaussian(Fraction(-(10**400), 3), 1),
+        lambda: StepLaw.pareto_symmetric(10**400),
+        lambda: StepLaw.pareto_symmetric(Fraction(1, 10**400)),  # rounds to 0.0
+        lambda: parse_mu_spec("dirac:1e400"),
+        lambda: parse_mu_spec("gauss:0,1e700"),
+    ])
+    def test_parameters_must_fit_a_float(self, make):
+        # the samplers draw in float64; before this check `simulate_batch`
+        # and the CLI died with OverflowError
+        with pytest.raises(ValueError):
+            make()
+
+    def test_parameters_at_the_float_edges_are_accepted(self):
+        assert StepLaw.dirac(Fraction(1, 10**400)).lattice_step == Fraction(1, 10**400)
+        assert StepLaw.gaussian(0, Fraction(1, 10**700)).params[1] == Fraction(1, 10**700)
+        big = int(np.finfo(np.float64).max)
+        assert simulate_batch(5, Fraction(1, 2), StepLaw.gaussian(0, big), 3, 1).s_check.shape == (3,)
 
     def test_gaussian_rejects_negative_variance(self):
         with pytest.raises(ValueError):
@@ -255,6 +281,15 @@ class TestSimulate:
                 assert abs(sums[k - 1] - exact) <= np.spacing(abs(exact))
         assert abs(run.s_check[-1] - run.final_check) <= np.spacing(abs(run.final_check))
 
+    def test_run_is_frozen_and_shares_its_counterbalanced_steps(self):
+        run = simulate(500, Fraction(1, 2), StepLaw.gaussian(0, 1), 3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            run.n = 1
+        steps = run.x_check
+        assert run.x_check is steps
+        assert run.final_check == math.fsum(steps.tolist())
+        assert run.s_check[-1] == pytest.approx(run.final_check)
+
     def test_lattice_laws_stay_exact(self):
         law = StepLaw.dirac(Fraction(1, 3))
         run = simulate(500, Fraction(1, 2), law, 6)
@@ -297,6 +332,12 @@ class TestForestCensus:
                 cnt for seq, cnt in census.nu_shape.items() if len(seq) + 1 == k
             )
             assert shape_total == census.nu.get(k, 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_size_census_matches_unique_counts(self, seed):
+        run = simulate(3000, Fraction(seed + 1, 8), StepLaw.rademacher(), seed)
+        sizes, freq = np.unique(np.bincount(run.tree_id - 1), return_counts=True)
+        assert forest_census(run).nu == dict(zip(sizes.tolist(), freq.tolist()))
 
     def test_deltas_bounded_by_sizes(self):
         run = simulate(500, Fraction(1, 3), StepLaw.dirac(1), 5)
@@ -361,6 +402,112 @@ class TestRepresentationResidual:
             run = simulate(20_000, Fraction(1, 2), StepLaw.gaussian(0, 1), seed)
             res = float(representation_residual(run))
             assert res <= 1e-9 * (1 + abs(float(run.final_check)))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
+#: one value from each corner of the float64 range, subnormals included
+EXTREMES = st.sampled_from([5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-150, 0.1, 1.0,
+                            3.0, 2.0**52 + 1, 1e150, 1e300, 1.7976931348623157e308])
+SIGNED_EXTREMES = st.builds(lambda x, neg: -x if neg else x, EXTREMES, st.booleans())
+
+
+def same_float(got, want):
+    """Equal as floats, the sign of zero and nan included."""
+    return repr(got) == repr(want)
+
+
+def check_against_exact(values):
+    """`_float_total` against `math.fsum` (wherever it returns) and against
+    the exact rational sum, rounded once."""
+    a = np.array(values, dtype=np.float64)
+    try:
+        want = math.fsum(values)
+    except OverflowError:
+        want = None
+    try:
+        exact = float(sum(map(Fraction, values), Fraction(0)))
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            _float_total(a)
+        return
+    got = _float_total(a)
+    assert got == exact
+    if want is not None:
+        assert same_float(got, want)
+
+
+class TestFloatTotal:
+    @given(hnp.arrays(np.float64, st.integers(0, 80), elements=FINITE))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_on_arbitrary_arrays(self, a):
+        check_against_exact(a.tolist())
+
+    @given(st.lists(st.one_of(SIGNED_EXTREMES, FINITE), max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fsum_on_mixed_extreme_exponents(self, values):
+        check_against_exact(values)
+
+    @given(st.lists(st.one_of(SIGNED_EXTREMES, FINITE), min_size=1, max_size=40),
+           st.lists(SIGNED_EXTREMES, max_size=3), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_fsum_under_heavy_cancellation(self, values, rest, rnd):
+        values = values + [-x for x in values] + rest
+        rnd.shuffle(values)
+        check_against_exact(values)
+
+    @pytest.mark.parametrize("values", [
+        [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324], [-5e-324, 5e-324, 5e-324],
+        [2.2250738585072014e-308, -5e-324], [1.0], [-2.5], [1e16, 1.0, -1e16],
+        [1.0, 2.0**-53, 2.0**-105], [0.1] * 10, [1.7976931348623157e308, -1.7976931348623157e308, 1.0],
+    ])
+    def test_small_cases(self, values):
+        check_against_exact(values)
+
+    def test_long_normal_arrays(self):
+        rng = np.random.default_rng(5)
+        for a in (rng.normal(size=100_000), rng.standard_cauchy(size=50_000),
+                  rng.normal(size=20_000) * 10.0 ** rng.integers(-300, 300, size=20_000)):
+            assert same_float(_float_total(a), math.fsum(a.tolist()))
+
+    def test_exact_where_fsum_overflows_midway(self):
+        big = 1.7976931348623157e308
+        with pytest.raises(OverflowError):
+            math.fsum([big, big, -big])
+        assert _float_total(np.array([big, big, -big])) == big
+
+    @pytest.mark.parametrize("values", [
+        [1.7976931348623157e308, 1.7976931348623157e308],
+        [-1.7976931348623157e308, -1e292],
+    ])
+    def test_sum_beyond_float_range_overflows(self, values):
+        with pytest.raises(OverflowError):
+            _float_total(np.array(values))
+
+    @pytest.mark.parametrize("values", [
+        [math.inf, 1.0], [-math.inf, -1e308, -1e308], [math.nan, 1.0], [math.inf, math.nan],
+        [math.inf, -math.inf], [1e308, 1e308, math.inf],
+    ])
+    def test_non_finite_inputs_behave_as_fsum(self, values):
+        try:
+            want = math.fsum(values)
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                _float_total(np.array(values))
+        else:
+            assert same_float(_float_total(np.array(values)), want)
+
+    @pytest.mark.parametrize("law", [StepLaw.gaussian(0, 1), StepLaw.uniform_symmetric(),
+                                     StepLaw.pareto_symmetric(Fraction(1, 2))])
+    def test_run_totals_are_correctly_rounded(self, law):
+        run = simulate(5000, Fraction(1, 3), law, 8)
+        assert same_float(run.final_check, math.fsum(run.x_check.tolist()))
+        assert same_float(run.final_hat, math.fsum(run.x[run.tree_id - 1].tolist()))
+        census = forest_census(run)
+        terms = census.delta_per_tree * run.x
+        for k, part in decompose(run).items():
+            assert same_float(part, math.fsum(terms[census.occurrences == k].tolist()))
+        assert same_float(representation_residual(run),
+                          abs(run.final_check - math.fsum(terms.tolist())))
 
 
 class TestBatch:
