@@ -96,8 +96,7 @@ def c03_tanny_tv(seed: int, fast: bool = False) -> list[CheckReport]:
     """Ceiling-of-uniform-sums draws vs the exact odd-count law."""
     reps = 10_000 if fast else 100_000
     threshold = 0.01 * (_SQRT10 if fast else 1.0)
-    rng = np.random.default_rng(child_seed(seed, 3))
-    draws = tanny_sample_batch(9, reps, rng)
+    draws = tanny_sample_batch(9, reps, child_seed(seed, 3))
     tv = tv_distance(_hist(draws), odd_count_pmf(10))
     return [
         make_report("c03_tanny_tv", "tv_distance", tv, threshold, reps, seed,
@@ -201,9 +200,8 @@ def c07_velocity(seed: int, fast: bool = False) -> list[CheckReport]:
     p = Fraction(1, 2)
     batch = simulate_batch(n, p, StepLaw.dirac(1), reps, child_seed(seed, 7), census=False)
     samples = batch.s_check / n
-    sd = float(samples.std(ddof=1)) / math.sqrt(reps)
     target = float(asym.velocity(p, 1))
-    rep = moment_check(samples, target, sd, band=4.0, name="c07_velocity", seed=seed,
+    rep = moment_check(samples, target, band=4.0, name="c07_velocity", seed=seed,
                        config={"n": n, "reps": reps, "p": "1/2", "mu": "dirac:1"})
     return [rep]
 
@@ -257,15 +255,13 @@ def c10_tree_size_frequencies(seed: int, fast: bool = False) -> list[CheckReport
     for k in range(1, 6):
         samples = np.array([nu.get(k, 0) / pn for nu in nus])
         target = float(asym.yule_simon_pmf(k, p))
-        sd = float(samples.std(ddof=1)) / math.sqrt(reps)
         reports.append(
-            moment_check(samples, target, sd, band=3.0, name=f"c10_yule_simon_k{k}",
+            moment_check(samples, target, band=3.0, name=f"c10_yule_simon_k{k}",
                          seed=seed, config={"n": n, "reps": reps, "k": k})
         )
     nu1_frac = np.array([nu.get(1, 0) / n for nu in nus])
-    sd1 = float(nu1_frac.std(ddof=1)) / math.sqrt(reps)
     reports.append(
-        moment_check(nu1_frac, float(p / (2 - p)), sd1, band=3.0,
+        moment_check(nu1_frac, float(p / (2 - p)), band=3.0,
                      name="c10_singleton_fraction", seed=seed, config={"n": n, "reps": reps})
     )
     return reports
@@ -384,10 +380,9 @@ def c14_shape_frequencies(seed: int, fast: bool = False) -> list[CheckReport]:
     for shape in _SMALL_SHAPES:
         samples = np.array([sc.get(shape, 0) / n for sc in shape_counts])
         target = float(asym.tree_freq_limit(len(shape) + 1, p))
-        sd = float(samples.std(ddof=1)) / math.sqrt(reps)
         label = "root" if not shape else "-".join(map(str, shape))
         reports.append(
-            moment_check(samples, target, sd, band=3.0,
+            moment_check(samples, target, band=3.0,
                          name=f"c14_shape_{len(shape) + 1}v_{label}", seed=seed,
                          config={"n": n, "reps": reps, "shape": list(shape)})
         )

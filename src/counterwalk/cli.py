@@ -19,7 +19,8 @@ package version, the seed, and a hash of the canonical configuration, so
 reruns are byte-identical and self-describing.
 
 Exit codes: 0 success, 1 failed verification checks, 2 usage or grammar
-errors, 3 cap violations, 4 output I/O errors.
+errors, 3 cap violations (a result beyond the float range among them), 4
+output I/O errors.
 """
 
 from __future__ import annotations
@@ -232,8 +233,6 @@ def _cmd_sample(args) -> int:
 def _cmd_limits(args) -> int:
     from . import asymptotics as asym
 
-    if args.limits_mode == "stable":
-        return _cmd_limits_stable(args)
     if args.p is None or args.mu is None:
         raise CliError("limits needs --p and --mu")
     p = _parse_prob(args.p)
@@ -376,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     limits.add_argument("--mu", default=None)
     limits.add_argument("--kmax", type=int, default=8)
     limits.add_argument("--out", default=None)
-    limits.set_defaults(fn=_cmd_limits, limits_mode=None)
+    limits.set_defaults(fn=_cmd_limits)
     ls = limits_sub.add_parser("stable")
     ls.add_argument("--alpha", type=float, required=True)
     ls.add_argument("--p", required=True)
@@ -385,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     ls.add_argument("--phi1", type=float, default=1.0,
                     help="unit value of the input characteristic exponent (finite, > 0)")
     ls.add_argument("--out", default=None)
-    ls.set_defaults(fn=_cmd_limits, limits_mode="stable")
+    ls.set_defaults(fn=_cmd_limits_stable)
 
     verify = sub.add_parser("verify", help="run the acceptance suite")
     verify_sub = verify.add_subparsers(dest="verify_mode", required=True)
@@ -409,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except OverflowError as exc:  # a result beyond the float range is never clipped
+        sys.stderr.write(f"error: result beyond the float range: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -63,9 +63,9 @@ def sample_odd_counts(n: int, reps: int, seed: int) -> np.ndarray:
     return out
 
 
-def tanny_sample_batch(n: int, reps: int, rng: np.random.Generator) -> np.ndarray:
+def tanny_sample_batch(n: int, reps: int, seed: int) -> np.ndarray:
     """Ceiling of a sum of ``n`` independent uniforms on [0, 1] (0 for
-    n = 0), once per replica.
+    n = 0), once per replica, drawn from ``np.random.default_rng(seed)``.
 
     Equal in law to the odd-vertex count of a size-``n+1`` random
     recursive tree, which makes it a fast sampler for parity statistics.
@@ -76,6 +76,7 @@ def tanny_sample_batch(n: int, reps: int, rng: np.random.Generator) -> np.ndarra
         raise ValueError("reps must be >= 1")
     if n == 0:
         return np.zeros(reps, dtype=np.int64)
+    rng = np.random.default_rng(seed)
     out = np.empty(reps, dtype=np.int64)
     # rows drawn in chunks of about _BLOCK_CELLS cells, in order from one
     # stream, so the draws do not depend on the chunk size

@@ -145,13 +145,12 @@ def ks_normal(
     *,
     name: str = "ks_normal",
     seed: int | None = None,
-    threshold: float | None = None,
     config: dict | None = None,
 ) -> CheckReport:
     """One-sample Kolmogorov-Smirnov statistic against a fixed Gaussian.
 
-    The default acceptance band ``1.63/sqrt(M)`` is a generous asymptotic
-    1%-level band, used as a deterministic gate rather than a test.
+    The acceptance band ``1.63/sqrt(M)`` is a generous asymptotic 1%-level
+    band, used as a deterministic gate rather than a test.
     """
     x = np.asarray(samples, dtype=np.float64)
     m = x.size
@@ -163,30 +162,27 @@ def ks_normal(
     cdf = 0.5 * np.array([math.erfc(t) for t in (-z / math.sqrt(2.0)).tolist()])
     grid = np.arange(1, m + 1, dtype=np.float64) / m
     stat = float(np.max(np.maximum(grid - cdf, cdf - (grid - 1.0 / m))))
-    if threshold is None:
-        threshold = KS_BAND / math.sqrt(m)
     cfg = {"mean": mean, "variance": variance}
     cfg.update(config or {})
-    return make_report(name, "ks_statistic", stat, threshold, m, seed, cfg)
+    return make_report(name, "ks_statistic", stat, KS_BAND / math.sqrt(m), m, seed, cfg)
 
 
 def moment_check(
     samples: Sequence[float] | np.ndarray,
     target: float,
-    sd_of_estimator: float,
     band: float = Z_BAND,
     *,
     name: str = "moment_check",
     seed: int | None = None,
     config: dict | None = None,
 ) -> CheckReport:
-    """Standardized z-score of the sample mean against ``target``."""
+    """Standardized z-score of the sample mean against ``target``, in units
+    of its standard error ``std(ddof=1) / sqrt(M)``."""
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 2:
         raise ValueError("moment check needs at least 2 samples")
     diff = abs(float(np.mean(x)) - target)
-    if sd_of_estimator < 0:
-        raise ValueError("estimator sd must be >= 0")
+    sd_of_estimator = float(x.std(ddof=1)) / math.sqrt(x.size)
     if sd_of_estimator == 0:
         z = 0.0 if diff == 0 else math.inf
     else:

@@ -39,8 +39,6 @@ from .replication import child_seed
 
 Number = Union[int, float, Fraction]
 
-_KINDS = ("rademacher", "dirac", "uniform", "gauss", "pareto")
-
 
 @dataclass(frozen=True)
 class StepLaw:
@@ -89,15 +87,7 @@ class StepLaw:
 
     def spec_string(self) -> str:
         """Canonical spec string; `parse_mu_spec` round-trips it."""
-        if self.kind == "rademacher":
-            return "rademacher"
-        if self.kind == "dirac":
-            return f"dirac:{self.params[0]}"
-        if self.kind == "uniform":
-            return "uniform"
-        if self.kind == "gauss":
-            return f"gauss:{self.params[0]},{self.params[1]}"
-        return f"pareto:{self.params[0]}"
+        return f"{self.kind}:{','.join(map(str, self.params))}" if self.params else self.kind
 
     @property
     def lattice_step(self) -> Fraction | None:
@@ -151,8 +141,19 @@ def _float_sized(x: Fraction, name: str) -> Fraction:
     return x
 
 
+#: The step-law grammar: kind -> (constructor, parameter count, what the
+#: parameters are).  The constructors check the values.
+_GRAMMAR = {
+    "rademacher": (StepLaw.rademacher, 0, None),
+    "dirac": (StepLaw.dirac, 1, "one value, e.g. dirac:1"),
+    "uniform": (StepLaw.uniform_symmetric, 0, None),
+    "gauss": (StepLaw.gaussian, 2, "mean and variance, e.g. gauss:0,1"),
+    "pareto": (StepLaw.pareto_symmetric, 1, "an exponent, e.g. pareto:1.5"),
+}
+
+
 def parse_mu_spec(spec: str) -> StepLaw:
-    """Parse the step-law grammar:
+    """Parse the step-law grammar of `_GRAMMAR`:
 
     ``rademacher | dirac:C | uniform | gauss:MEAN,VAR | pareto:ALPHA``
 
@@ -160,42 +161,23 @@ def parse_mu_spec(spec: str) -> StepLaw:
     parsed exactly.
     """
     head, _, tail = spec.strip().partition(":")
-    head = head.lower()
+    kind = head.lower()
+    if kind not in _GRAMMAR:
+        raise ValueError(
+            f"invalid step-law spec {spec!r}: unknown kind {kind!r} "
+            f"(expected one of {', '.join(_GRAMMAR)})"
+        )
+    make, count, what = _GRAMMAR[kind]
     try:
-        if head == "rademacher":
-            _require_no_params(head, tail)
-            return StepLaw.rademacher()
-        if head == "uniform":
-            _require_no_params(head, tail)
-            return StepLaw.uniform_symmetric()
-        if head == "dirac":
-            return StepLaw.dirac(_parse_number(tail, "dirac needs one value, e.g. dirac:1"))
-        if head == "gauss":
-            parts = tail.split(",")
-            if len(parts) != 2:
-                raise ValueError("gauss needs mean and variance, e.g. gauss:0,1")
-            return StepLaw.gaussian(_parse_number(parts[0], "bad gauss mean"),
-                                    _parse_number(parts[1], "bad gauss variance"))
-        if head == "pareto":
-            return StepLaw.pareto_symmetric(_parse_number(tail, "pareto needs an exponent, e.g. pareto:1.5"))
+        params = [Fraction(field.strip()) for field in tail.split(",")] if tail else []
+    except (ValueError, ZeroDivisionError):
+        params = None
+    try:
+        if params is None or len(params) != count:
+            raise ValueError(f"{kind} needs {what}" if count else f"{kind} takes no parameters")
+        return make(*params)
     except ValueError as exc:
         raise ValueError(f"invalid step-law spec {spec!r}: {exc}") from None
-    raise ValueError(
-        f"invalid step-law spec {spec!r}: unknown kind {head!r} "
-        f"(expected one of {', '.join(_KINDS)})"
-    )
-
-
-def _require_no_params(head: str, tail: str) -> None:
-    if tail:
-        raise ValueError(f"{head} takes no parameters")
-
-
-def _parse_number(text: str, message: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(message) from None
 
 
 def forest(innov: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -196,6 +196,24 @@ class TestSimulateCommand:
         assert code == 2
         assert "invalid step-law spec" in err
 
+    @pytest.mark.parametrize("mu,message", [
+        ("dirac:", "dirac needs one value, e.g. dirac:1"),
+        ("dirac:x", "dirac needs one value, e.g. dirac:1"),
+        ("dirac:1,2", "dirac needs one value, e.g. dirac:1"),
+        ("gauss:1", "gauss needs mean and variance, e.g. gauss:0,1"),
+        ("gauss:1,", "gauss needs mean and variance, e.g. gauss:0,1"),
+        ("gauss:x,1", "gauss needs mean and variance, e.g. gauss:0,1"),
+        ("pareto:", "pareto needs an exponent, e.g. pareto:1.5"),
+        ("uniform:3", "uniform takes no parameters"),
+        ("rademacher:1", "rademacher takes no parameters"),
+        ("cauchy", "unknown kind 'cauchy' (expected one of rademacher, dirac, uniform, gauss, pareto)"),
+        ("pareto:0", "pareto exponent must be > 0"),
+        ("dirac:1e400", "dirac value is too large for a float"),
+    ])
+    def test_malformed_spec_message(self, capsys, mu, message):
+        code, out, err = run_cli(capsys, "simulate", "--n", "5", "--p", "1/2", "--mu", mu)
+        assert (code, out, err) == (2, "", f"error: invalid step-law spec {mu!r}: {message}\n")
+
     def test_bad_p_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "5", "--p", "7/2", "--mu", "dirac:1")
         assert code == 2
@@ -206,6 +224,20 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: invalid step-law spec '{mu}'") and "too large for a float" in err
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --n 20 --p 1/2 --mu dirac:1e308 --reps 1",
+    "simulate --n 20 --p 1/2 --mu dirac:1e308 --reps 1 --traj-every 5",
+    "simulate --n 20 --p 1/2 --mu gauss:1e308,0 --reps 1",
+    "limits --p 1/2 --mu dirac:1e308",
+    "limits stable --alpha 1.9 --p 1/2 --theta 1e200",
+])
+def test_result_beyond_float_range_exit_code(capsys, argv):
+    # parameters that fit a float can still drive a result past its range
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (3, "")
+    assert err.startswith("error: result beyond the float range: ") and err.count("\n") == 1
 
 
 class TestLimitsCommand:

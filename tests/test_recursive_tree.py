@@ -157,34 +157,30 @@ class TestSampling:
 
 class TestTanny:
     def test_trivial_values(self):
-        rng = np.random.default_rng(5)
-        assert tanny_sample_batch(0, 1, rng)[0] == 0
-        assert np.all(tanny_sample_batch(1, 20, rng) == 1)
+        assert tanny_sample_batch(0, 1, 5)[0] == 0
+        assert np.all(tanny_sample_batch(1, 20, 5) == 1)
 
     def test_range(self):
-        draws = tanny_sample_batch(9, 200, np.random.default_rng(6))
+        draws = tanny_sample_batch(9, 200, 6)
         assert np.all((1 <= draws) & (draws <= 9))
 
     def test_matches_odd_count_law(self):
         # n uniforms against the odd-count law of a size-(n+1) tree, n = 1..8
-        rng = np.random.default_rng(2024)
         for n in range(1, 9):
-            draws = tanny_sample_batch(n, 20_000, rng)
+            draws = tanny_sample_batch(n, 20_000, 2024)
             assert tv_distance(_hist(draws), odd_count_pmf(n + 1)) <= 0.02
 
     def test_batch_matches_scalar_law(self):
-        rng = np.random.default_rng(7)
-        draws = tanny_sample_batch(9, 20_000, rng)
+        draws = tanny_sample_batch(9, 20_000, 7)
         assert tv_distance(_hist(draws), odd_count_pmf(10)) <= 0.02
 
     def test_batch_edge_cases(self):
-        rng = np.random.default_rng(8)
-        assert np.array_equal(tanny_sample_batch(0, 5, rng), np.zeros(5, dtype=np.int64))
-        assert np.all(tanny_sample_batch(1, 100, rng) == 1)
+        assert np.array_equal(tanny_sample_batch(0, 5, 8), np.zeros(5, dtype=np.int64))
+        assert np.all(tanny_sample_batch(1, 100, 8) == 1)
 
     def test_batch_deterministic(self):
-        a = tanny_sample_batch(9, 1000, np.random.default_rng(42))
-        b = tanny_sample_batch(9, 1000, np.random.default_rng(42))
+        a = tanny_sample_batch(9, 1000, 42)
+        b = tanny_sample_batch(9, 1000, 42)
         assert np.array_equal(a, b)
 
     def test_chunks_draw_the_rows_of_one_matrix(self):
@@ -192,7 +188,7 @@ class TestTanny:
         n = 1000
         reps = 3 * (_BLOCK_CELLS // n) + 7
         one = np.random.default_rng(3).random((reps, n)).sum(axis=1)
-        draws = tanny_sample_batch(n, reps, np.random.default_rng(3))
+        draws = tanny_sample_batch(n, reps, 3)
         assert draws.tobytes() == np.ceil(one).astype(np.int64).tobytes()
 
     def test_memory_does_not_grow_with_reps(self):
@@ -202,7 +198,7 @@ class TestTanny:
         def peak(reps):
             tracemalloc.start()
             try:
-                tanny_sample_batch(n, reps, np.random.default_rng(4))
+                tanny_sample_batch(n, reps, 4)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -217,7 +213,7 @@ class TestBatchParity:
 
     def test_two_sample_agreement_with_tanny(self):
         odd = sample_odd_counts(10, 20_000, 12)
-        tanny = tanny_sample_batch(9, 20_000, np.random.default_rng(13))
+        tanny = tanny_sample_batch(9, 20_000, 13)
         assert tv_distance(_hist(odd), _hist(tanny)) <= 0.03
 
     def test_single_vertex(self):

@@ -251,22 +251,30 @@ class TestKsNormal:
 
 class TestMomentCheck:
     def test_constant_samples_hit_target(self):
-        report = moment_check(np.full(100, 2.5), 2.5, 0.0)
+        report = moment_check(np.full(100, 2.5), 2.5)
         assert report.value == 0.0 and report.passed
 
     def test_calibration(self):
         rng = np.random.default_rng(7)
         samples = rng.normal(0.0, 1.0, size=40_000)
-        report = moment_check(samples, 0.0, 1.0 / math.sqrt(40_000))
+        report = moment_check(samples, 0.0)
         assert report.passed
 
     def test_missed_target_fails(self):
-        report = moment_check(np.full(100, 2.5), 3.0, 0.01)
+        report = moment_check(np.full(100, 2.5), 3.0)
+        assert not report.passed
+
+    def test_standard_error_comes_from_the_samples(self):
+        samples = np.array([1.0, 2.0, 3.0, 4.0])
+        sd = float(samples.std(ddof=1)) / 2.0
+        report = moment_check(samples, 0.0, band=3.0)
+        assert report.config["sd_of_estimator"] == sd
+        assert report.value == 2.5 / sd
         assert not report.passed
 
     def test_rejects_tiny_sample(self):
         with pytest.raises(ValueError):
-            moment_check(np.ones(1), 1.0, 1.0)
+            moment_check(np.ones(1), 1.0)
 
 
 class TestEmpiricalCf:

@@ -15,6 +15,7 @@ from counterwalk.replication import child_seed
 from counterwalk.verify import brute_force_walk_pmf, tv_distance
 from counterwalk.walk_engine import (
     _BLOCK_CELLS,
+    _GRAMMAR,
     StepLaw,
     _float_total,
     decompose,
@@ -33,6 +34,21 @@ ALL_LAWS = (
     StepLaw.gaussian(0, 1),
     StepLaw.pareto_symmetric(Fraction(3, 2)),
 )
+
+
+def _values(lo, hi):
+    return st.fractions(min_value=lo, max_value=hi, max_denominator=10**12)
+
+
+#: in-range parameters of every kind of the step-law grammar (a kind missing
+#: here fails its round-trip test)
+GRAMMAR_PARAMS = {
+    "rademacher": (),
+    "dirac": (_values(-10**12, 10**12),),
+    "uniform": (),
+    "gauss": (_values(-10**12, 10**12), _values(0, 10**12)),
+    "pareto": (_values(Fraction(1, 10**6), 10**6),),
+}
 
 
 def reference_forest(innov, picks):
@@ -58,6 +74,15 @@ class TestStepLaw:
         for law in ALL_LAWS + (StepLaw.dirac(Fraction(3, 2)), StepLaw.gaussian(Fraction(1, 2), 2)):
             again = parse_mu_spec(law.spec_string())
             assert again == law
+
+    @pytest.mark.parametrize("kind", list(_GRAMMAR))
+    @given(data=st.data())
+    def test_every_grammar_kind_round_trips(self, kind, data):
+        make, count, _ = _GRAMMAR[kind]
+        params = data.draw(st.tuples(*GRAMMAR_PARAMS[kind]))
+        assert len(params) == count
+        law = make(*params)
+        assert parse_mu_spec(law.spec_string()) == law
 
     def test_grammar_accepts_fractions_and_decimals(self):
         assert parse_mu_spec("dirac:1/2").params[0] == Fraction(1, 2)
