@@ -28,19 +28,20 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
 from . import __version__
 
-# Only the modules `simulate` loads are imported here (`walk_engine` loads
-# `eulerian`); the other handlers import their own layers when called, so a
-# `simulate` process never loads the acceptance suite, the verifier or the
-# asymptotics.
+# Only the exact layer and the replica scheduler, neither of which loads
+# numpy, are imported here; every other handler imports its own layers when
+# called.  So `exact odd-pmf`, `exact delta-pmf` and `table eulerian` never
+# load numpy, and a `simulate` process never loads the acceptance suite, the
+# verifier or the asymptotics.
 from .eulerian import delta_pmf, eulerian_row, odd_count_pmf
 from .replication import child_seed, run_replicas
-from .walk_engine import StepLaw, forest_census, parse_mu_spec, simulate
 
 
 class CliError(Exception):
@@ -106,21 +107,38 @@ def _parse_prob(text: str, name: str = "--p") -> Fraction:
     return p
 
 
-def _parse_law(text: str) -> StepLaw:
+def _parse_law(text: str):
+    from .walk_engine import parse_mu_spec
+
     try:
         return parse_mu_spec(text)
     except ValueError as exc:
         raise CliError(str(exc)) from None
 
 
+@contextmanager
+def _float_range(quantity: str):
+    """Report a float result past the float range as a cap error naming ``quantity``."""
+    try:
+        yield
+    except OverflowError:
+        raise CapError(f"result beyond the float range: {quantity}") from None
+
+
 # ---------------------------------------------------------------- simulate
 
 
-def _replica(n: int, p: Fraction, law: StepLaw, traj_every: int, task: tuple[int, int]):
+def _replica(n: int, p: Fraction, law, traj_every: int, task: tuple[int, int]):
+    from .walk_engine import forest_census, simulate
+
     rep, seed = task
     run = simulate(n, p, law, seed)
     nu1 = forest_census(run, shape_cap=1).nu.get(1, 0)
-    summary = (rep, n, run.innovations, float(run.final_check), float(run.final_hat), nu1)
+    # trajectories never overflow first: float-law partial sums are floats
+    # already, rademacher positions stay within n, and under dirac:C the
+    # final reinforced position n*C bounds every earlier position
+    with _float_range(f"the final position of replica {rep}"):
+        summary = (rep, n, run.innovations, float(run.final_check), float(run.final_hat), nu1)
     traj = []
     if traj_every > 0:
         at = slice(traj_every - 1, None, traj_every)
@@ -203,7 +221,12 @@ def _cmd_table(args) -> int:
     if args.n == 0:
         lines.append("-1,1")
     else:
-        lines.extend(f"{k},{value}" for k, value in enumerate(row.values))
+        # the row is symmetric: format its first half, and give each later
+        # entry the digits of its twin <n, n-1-k>, which is line n + 1 - k
+        half = (args.n + 1) // 2
+        lines.extend(f"{k},{value}" for k, value in enumerate(row.values[:half]))
+        for k in range(half, args.n):
+            lines.append(f"{k},{lines[args.n + 1 - k].partition(',')[2]}")
     _emit(lines, args.out)
     return 0
 
@@ -247,7 +270,8 @@ def _cmd_limits(args) -> int:
 
     def add(name: str, value: Fraction | None) -> None:
         if value is not None:
-            lines.append(f"{name},{value},{float(value)!r}")
+            with _float_range(f"the constant {name}"):
+                lines.append(f"{name},{value},{float(value)!r}")
 
     add("velocity", constants.velocity)
     add("clt_variance", constants.clt_variance)
@@ -274,7 +298,8 @@ def _cmd_limits_stable(args) -> int:
     if args.kmax < 1:
         raise CliError("--kmax must be >= 1")
     spec = asym.StableSpec(args.alpha, args.phi1)
-    value, tail = asym.stable_check_exponent(args.theta, p, spec, kmax=args.kmax)
+    with _float_range(f"the exponent at --theta {args.theta!r}"):
+        value, tail = asym.stable_check_exponent(args.theta, p, spec, kmax=args.kmax)
     config = _config(
         "limits-stable", alpha=args.alpha, p=p, theta=args.theta,
         kmax=args.kmax, phi1=args.phi1,

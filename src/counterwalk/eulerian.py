@@ -25,27 +25,32 @@ Value = Union[int, Fraction]
 
 #: Rows up to this index are memoised.  Past it only the last row asked for
 #: is kept: a request at or above it extends that row, any other request
-#: starts again from row ``ROW_MEMO_CAP``.
+#: starts again from row ``ROW_MEMO_CAP``.  Either way only half rows (see
+#: below) are stored.
 ROW_MEMO_CAP = 200
 
-# Rows 0 and 1 are seeded by hand: row 0 holds the conventional entry
-# <0,-1> = 1, and the recurrence below is only valid from row 2 on.
+# Every row is symmetric, <n,k> = <n,n-1-k>, so only its first ceil(n/2)
+# entries are stored (the half row).  Rows 0 and 1 are seeded by hand: row 0
+# holds the conventional entry <0,-1> = 1, and the recurrence below is only
+# valid from row 2 on.
 _rows: list[list[int]] = [[1], [1]]
-# The most recent row past the cap, as (index, row).
+# The most recent half row past the cap, as (index, half row).
 _far: tuple[int, list[int]] | None = None
 _rows_lock = threading.Lock()
 
 
 def _next_row(prev: list[int], n: int) -> list[int]:
-    # <n,k> = (n-k) <n-1,k-1> + (k+1) <n-1,k> for the first ceil(n/2) entries
-    # (n >= 2, so <n-1,k> is a regular entry there); the rest mirror them,
-    # since <n,k> = <n,n-1-k>
+    # half row n from half row n-1 (n >= 2):
+    # <n,k> = (n-k) <n-1,k-1> + (k+1) <n-1,k>; for odd n the last entry reads
+    # <n-1,(n-1)/2> = <n-1,(n-1)/2-1>, the last entry of prev
     half = [prev[0]]
-    half += [(n - k) * prev[k - 1] + (k + 1) * prev[k] for k in range(1, (n + 1) // 2)]
-    return half + half[: n // 2][::-1]
+    half += [(n - k) * prev[k - 1] + (k + 1) * prev[k] for k in range(1, n // 2)]
+    if n & 1:
+        half.append((n + 1) * prev[-1])
+    return half
 
 
-def _row_values(n: int) -> list[int]:
+def _half_row(n: int) -> list[int]:
     global _far
     if n < len(_rows):
         return _rows[n]
@@ -63,6 +68,11 @@ def _row_values(n: int) -> list[int]:
             row = _next_row(row, m)
         _far = (n, row)
         return row
+
+
+def _row_values(n: int) -> tuple[int, ...]:
+    half = _half_row(n)
+    return (*half, *reversed(half[: n // 2]))
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ def eulerian_row(n: int) -> EulerianRow:
     """Full row ``n`` of the triangle (row 0 is the conventional entry)."""
     if n < 0:
         raise ValueError("row index must be >= 0")
-    return EulerianRow(n, tuple(_row_values(n)))
+    return EulerianRow(n, _row_values(n))
 
 
 def eulerian_number(n: int, k: int) -> int:
@@ -98,19 +108,23 @@ def eulerian_number(n: int, k: int) -> int:
         return 1 if k == -1 else 0
     if k < 0 or k >= n:
         return 0
-    return _row_values(n)[k]
+    return _half_row(n)[min(k, n - 1 - k)]
 
 
 def eulerian_number_by_sum(n: int, k: int) -> int:
     """Entry ``<n,k>`` via the alternating binomial sum.
 
     Independent of the recurrence route on purpose: the two are checked
-    against each other, so this must stay a separate code path.
+    against each other, so this must stay a separate code path.  It sums
+    ``min(k, n-1-k) + 1`` terms by reflecting ``k`` through the row's
+    symmetry, which it applies itself: it reads no stored row, so the
+    reflection keeps it independent of the recurrence.
     """
     if n < 1:
         raise ValueError("the alternating sum needs n >= 1")
     if k < 0 or k >= n:
         return 0
+    k = min(k, n - 1 - k)
     total = 0
     binom = 1  # C(n+1, j)
     for j in range(k + 1):
@@ -194,7 +208,7 @@ def odd_count_pmf(n: int) -> ExactPmf:
     if n == 1:
         return ExactPmf((0,), (1,), 1)
     # the row in lowest terms already: its first entry is 1
-    return ExactPmf(tuple(range(1, n)), tuple(_row_values(n - 1)), math.factorial(n - 1))
+    return ExactPmf(tuple(range(1, n)), _row_values(n - 1), math.factorial(n - 1))
 
 
 def delta_pmf(n: int) -> ExactPmf:

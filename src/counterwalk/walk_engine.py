@@ -161,7 +161,7 @@ def parse_mu_spec(spec: str) -> StepLaw:
     parsed exactly.
     """
     head, _, tail = spec.strip().partition(":")
-    kind = head.lower()
+    kind = head.strip().lower()
     if kind not in _GRAMMAR:
         raise ValueError(
             f"invalid step-law spec {spec!r}: unknown kind {kind!r} "

@@ -226,18 +226,22 @@ class TestSimulateCommand:
         assert err.startswith(f"error: invalid step-law spec '{mu}'") and "too large for a float" in err
 
 
-@pytest.mark.parametrize("argv", [
-    "simulate --n 20 --p 1/2 --mu dirac:1e308 --reps 1",
-    "simulate --n 20 --p 1/2 --mu dirac:1e308 --reps 1 --traj-every 5",
-    "simulate --n 20 --p 1/2 --mu gauss:1e308,0 --reps 1",
-    "limits --p 1/2 --mu dirac:1e308",
-    "limits stable --alpha 1.9 --p 1/2 --theta 1e200",
-])
+# command -> the quantity its float-range error names
+OVERFLOWING = {
+    "simulate --n 20 --p 1/2 --mu dirac:1e308 --reps 1": "the final position of replica 0",
+    "simulate --n 20 --p 1/2 --mu dirac:1e308 --reps 1 --traj-every 5": "the final position of replica 0",
+    "simulate --n 20 --p 1/2 --mu gauss:1e308,0 --reps 1": "the final position of replica 0",
+    "limits --p 1/2 --mu dirac:1e308": "the constant clt_variance",
+    "limits stable --alpha 1.9 --p 1/2 --theta 1e200": "the exponent at --theta 1e+200",
+}
+
+
+@pytest.mark.parametrize("argv", list(OVERFLOWING))
 def test_result_beyond_float_range_exit_code(capsys, argv):
     # parameters that fit a float can still drive a result past its range
+    quantity = OVERFLOWING[argv]
     code, out, err = run_cli(capsys, *argv.split())
-    assert (code, out) == (3, "")
-    assert err.startswith("error: result beyond the float range: ") and err.count("\n") == 1
+    assert (code, out, err) == (3, "", f"error: result beyond the float range: {quantity}\n")
 
 
 class TestLimitsCommand:
@@ -381,6 +385,22 @@ def test_cli_import_loads_neither_scipy_nor_a_process_pool():
     # that need it, and replicas run in-process
     probe = "import sys, counterwalk.cli; print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))"
     assert run_python("-c", probe).stdout.strip() == "[]"
+
+
+def test_cli_import_and_exact_commands_load_no_numpy():
+    # the exact commands and the tables never need numpy; the handlers that
+    # do import the engine themselves
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "import counterwalk.cli",
+        "print('numpy' in sys.modules)",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['exact', 'odd-pmf', '--n', '30'], ['exact', 'delta-pmf', '--n', '30'],",
+        "                 ['table', 'eulerian', '--n', '30']):",
+        "        assert counterwalk.cli.main(argv) == 0",
+        "print('numpy' in sys.modules)",
+    ])
+    assert run_python("-c", probe).stdout.split() == ["False", "False"]
 
 
 def test_exact_layer_imports_without_numpy_and_package_loads_no_submodule():

@@ -40,6 +40,26 @@ def _reference_rows(n_max):
     return rows
 
 
+def _first_half(row):
+    return row[: (len(row) + 1) // 2]
+
+
+class _NoAccess:
+    """Stands in for the row store; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"row store read ({name})")
+
+    def __len__(self):
+        raise AssertionError("row store read (len)")
+
+    def __getitem__(self, item):
+        raise AssertionError("row store read ([])")
+
+    def __iter__(self):
+        raise AssertionError("row store read (iter)")
+
+
 class TestTriangle:
     def test_matches_descent_enumeration(self):
         for n in range(1, 8):
@@ -80,7 +100,14 @@ class TestTriangle:
     def test_half_row_recurrence_matches_full_recurrence(self):
         rows = _reference_rows(80)
         for n in range(2, 81):
-            assert eulerian._next_row(rows[n - 1], n) == rows[n]
+            assert eulerian._next_row(_first_half(rows[n - 1]), n) == _first_half(rows[n])
+
+    def test_alternating_sum_reads_no_stored_row(self, monkeypatch):
+        expected = {(n, k): eulerian_number(n, k) for n in (1, 2, 7, 40, 230) for k in range(-1, n + 1)}
+        monkeypatch.setattr(eulerian, "_rows", _NoAccess())
+        monkeypatch.setattr(eulerian, "_far", _NoAccess())
+        for (n, k), value in expected.items():
+            assert eulerian_number_by_sum(n, k) == value
 
     def test_alternating_sum_matches_binomial_expression(self):
         for n in range(1, 41):
@@ -135,6 +162,13 @@ class TestRowsPastTheCap:
         for got in results:
             assert len(got) == len(self.ORDER)
             assert all(values == expected[n] for n, values in got)
+
+    def test_far_store_keeps_one_half_row(self, monkeypatch):
+        monkeypatch.setattr(eulerian, "_far", None)
+        for n in self.ORDER + [ROW_MEMO_CAP + 1, 300, 250, 301, 201]:
+            eulerian_row(n)
+            m, row = eulerian._far
+            assert m == n and len(row) == (n + 1) // 2
 
     def test_rising_sweep_extends_the_last_far_row(self, monkeypatch):
         eulerian_row(ROW_MEMO_CAP)  # fill the memo

@@ -90,6 +90,10 @@ class TestStepLaw:
         assert parse_mu_spec("gauss:0,1").m2 == 1
         assert parse_mu_spec("pareto:1.5").params[0] == Fraction(3, 2)
 
+    def test_grammar_ignores_whitespace_around_the_kind_and_fields(self):
+        assert parse_mu_spec(" gauss : 0 , 1 ") == parse_mu_spec("gauss:0,1")
+        assert parse_mu_spec(" Uniform ") == parse_mu_spec("uniform")
+
     def test_grammar_rejects_garbage(self):
         for bad in ("cauchy", "dirac", "dirac:x", "gauss:1", "gauss:1,2,3", "pareto:0", "pareto:-1", "uniform:3"):
             with pytest.raises(ValueError):
