@@ -10,6 +10,7 @@ Subcommands::
     sample rrt --n N --reps M --seed S [--out FILE]
     limits --p P --mu SPEC [--kmax K]
     limits stable --alpha A --p P --theta T [--kmax K] [--phi1 F]
+        (--p, --kmax and --out may also come before `stable`)
     verify all [--seed S] [--fast]    (per-criterion times and margins on stderr)
 
 Exact quantities are emitted as ``numerator/denominator`` strings, never
@@ -262,10 +263,11 @@ def _cmd_limits(args) -> int:
     if p == 0:
         raise CliError("limit constants are undefined at p = 0; use the exact parity laws instead")
     law = _parse_law(args.mu)
-    if args.kmax < 1:
+    kmax = 8 if args.kmax is None else args.kmax
+    if kmax < 1:
         raise CliError("--kmax must be >= 1")
-    constants = asym.limit_constants(p, law.m1, law.m2, kmax=args.kmax)
-    config = _config("limits", p=p, mu=law.spec_string(), kmax=args.kmax)
+    constants = asym.limit_constants(p, law.m1, law.m2, kmax=kmax)
+    config = _config("limits", p=p, mu=law.spec_string(), kmax=kmax)
     lines = ["quantity,exact,decimal", _comment_line(config, None)]
 
     def add(name: str, value: Fraction | None) -> None:
@@ -290,19 +292,24 @@ def _cmd_limits(args) -> int:
 def _cmd_limits_stable(args) -> int:
     from . import asymptotics as asym
 
+    if args.mu is not None:
+        raise CliError("--mu does not apply to limits stable")
+    if args.p is None:
+        raise CliError("limits stable needs --p")
     p = _parse_prob(args.p)
     if p == 0 or p == 1:
         raise CliError("the stable exponent needs p strictly inside (0, 1)")
     if not 0 < args.alpha < 2:
         raise CliError("--alpha must lie in (0, 2)")
-    if args.kmax < 1:
+    kmax = 50 if args.kmax is None else args.kmax
+    if kmax < 1:
         raise CliError("--kmax must be >= 1")
     spec = asym.StableSpec(args.alpha, args.phi1)
     with _float_range(f"the exponent at --theta {args.theta!r}"):
-        value, tail = asym.stable_check_exponent(args.theta, p, spec, kmax=args.kmax)
+        value, tail = asym.stable_check_exponent(args.theta, p, spec, kmax=kmax)
     config = _config(
         "limits-stable", alpha=args.alpha, p=p, theta=args.theta,
-        kmax=args.kmax, phi1=args.phi1,
+        kmax=kmax, phi1=args.phi1,
     )
     lines = [
         "quantity,value",
@@ -398,17 +405,19 @@ def build_parser() -> argparse.ArgumentParser:
     limits_sub = limits.add_subparsers(dest="limits_mode")
     limits.add_argument("--p", default=None)
     limits.add_argument("--mu", default=None)
-    limits.add_argument("--kmax", type=int, default=8)
+    limits.add_argument("--kmax", type=int, default=None)  # the handlers: 8, stable 50
     limits.add_argument("--out", default=None)
     limits.set_defaults(fn=_cmd_limits)
+    # a subparser's defaults overwrite what `limits` parsed before `stable`,
+    # so the options both accept get none here and the handler fills them in
     ls = limits_sub.add_parser("stable")
     ls.add_argument("--alpha", type=float, required=True)
-    ls.add_argument("--p", required=True)
+    ls.add_argument("--p", default=argparse.SUPPRESS)
     ls.add_argument("--theta", type=float, required=True)
-    ls.add_argument("--kmax", type=int, default=50)
+    ls.add_argument("--kmax", type=int, default=argparse.SUPPRESS)
     ls.add_argument("--phi1", type=float, default=1.0,
                     help="unit value of the input characteristic exponent (finite, > 0)")
-    ls.add_argument("--out", default=None)
+    ls.add_argument("--out", default=argparse.SUPPRESS)
     ls.set_defaults(fn=_cmd_limits_stable)
 
     verify = sub.add_parser("verify", help="run the acceptance suite")

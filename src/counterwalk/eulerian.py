@@ -23,19 +23,21 @@ from typing import Callable, Iterable, Union
 
 Value = Union[int, Fraction]
 
-#: Rows up to this index are memoised.  Past it only the last row asked for
-#: is kept: a request at or above it extends that row, any other request
-#: starts again from row ``ROW_MEMO_CAP``.  Either way only half rows (see
-#: below) are stored.
-ROW_MEMO_CAP = 200
+#: Rows up to this index are memoised.  Past it two rows are kept: the last
+#: one asked for and the largest one built so far, and a request starts from
+#: the largest kept row at or below it (row ``ROW_MEMO_CAP`` if neither
+#: slot qualifies).  Either way only half rows (see below) are stored.
+ROW_MEMO_CAP = 64
 
 # Every row is symmetric, <n,k> = <n,n-1-k>, so only its first ceil(n/2)
 # entries are stored (the half row).  Rows 0 and 1 are seeded by hand: row 0
 # holds the conventional entry <0,-1> = 1, and the recurrence below is only
 # valid from row 2 on.
 _rows: list[list[int]] = [[1], [1]]
-# The most recent half row past the cap, as (index, half row).
-_far: tuple[int, list[int]] | None = None
+# The two far slots past the cap, each (index, half row) or None.  They
+# change only under the lock and may hold the same row.
+_last: tuple[int, list[int]] | None = None
+_largest: tuple[int, list[int]] | None = None
 _rows_lock = threading.Lock()
 
 
@@ -51,7 +53,7 @@ def _next_row(prev: list[int], n: int) -> list[int]:
 
 
 def _half_row(n: int) -> list[int]:
-    global _far
+    global _last, _largest
     if n < len(_rows):
         return _rows[n]
     with _rows_lock:
@@ -60,13 +62,13 @@ def _half_row(n: int) -> list[int]:
             _rows.append(_next_row(_rows[m - 1], m))
         if n <= ROW_MEMO_CAP:
             return _rows[n]
-        if _far is not None and _far[0] <= n:
-            start, row = _far
-        else:
-            start, row = ROW_MEMO_CAP, _rows[ROW_MEMO_CAP]
+        kept = [(ROW_MEMO_CAP, _rows[ROW_MEMO_CAP]), _last, _largest]
+        start, row = max((k for k in kept if k is not None and k[0] <= n), key=lambda k: k[0])
         for m in range(start + 1, n + 1):
             row = _next_row(row, m)
-        _far = (n, row)
+        _last = (n, row)
+        if _largest is None or n > _largest[0]:
+            _largest = _last
         return row
 
 

@@ -304,6 +304,30 @@ class TestLimitsCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    STABLE = ("--alpha", "1.5", "--p", "1/2", "--theta", "1.0")
+
+    def test_stable_honors_out_given_before_stable(self, capsys, tmp_path):
+        before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+        code, out, _ = run_cli(capsys, "limits", "--out", str(before), "stable", *self.STABLE)
+        assert (code, out) == (0, "")
+        assert run_cli(capsys, "limits", "stable", *self.STABLE, "--out", str(after))[:2] == (0, "")
+        assert before.read_text(encoding="utf-8") == after.read_text(encoding="utf-8")
+
+    def test_stable_honors_kmax_and_p_given_before_stable(self, capsys):
+        default = run_cli(capsys, "limits", "stable", *self.STABLE)
+        after = run_cli(capsys, "limits", "stable", *self.STABLE, "--kmax", "3")
+        before = run_cli(capsys, "limits", "--kmax", "3", "stable", *self.STABLE)
+        assert before == after and before[0] == 0
+        assert before[1].splitlines()[1] != default[1].splitlines()[1]  # config digest
+        moved_p = run_cli(capsys, "limits", "--p", "1/2", "stable", "--alpha", "1.5", "--theta", "1.0")
+        assert moved_p == default
+
+    def test_stable_refuses_mu_and_needs_p(self, capsys):
+        code, out, err = run_cli(capsys, "limits", "--mu", "dirac:1", "stable", *self.STABLE)
+        assert (code, out, err) == (2, "", "error: --mu does not apply to limits stable\n")
+        code, out, err = run_cli(capsys, "limits", "stable", "--alpha", "1.5", "--theta", "1.0")
+        assert (code, out, err) == (2, "", "error: limits stable needs --p\n")
+
 
 class TestVerifyCommand:
     def test_json_stream_and_exit_zero_on_tiny_subset(self, capsys, monkeypatch):

@@ -31,17 +31,45 @@ def _eulerian_by_permutations(n, k):
     return sum(1 for perm in itertools.permutations(range(n)) if _descents(perm) == k)
 
 
+def _reference_row_stream():
+    """Rows 0, 1, 2, ... by the full two-term recurrence, no symmetry used."""
+    yield [1]
+    row = [1]
+    for n in itertools.count(2):
+        yield row
+        prev = row + [0]
+        row = [(n - k) * (prev[k - 1] if k else 0) + (k + 1) * prev[k] for k in range(n)]
+
+
 def _reference_rows(n_max):
-    """Rows 0..n_max by the full two-term recurrence, no symmetry used."""
-    rows = [[1], [1]]
-    for n in range(2, n_max + 1):
-        prev = rows[-1] + [0]
-        rows.append([(n - k) * (prev[k - 1] if k else 0) + (k + 1) * prev[k] for k in range(n)])
-    return rows
+    return list(itertools.islice(_reference_row_stream(), n_max + 1))
+
+
+def _reference_rows_at(wanted):
+    """The rows in ``wanted``, keeping no other on the way."""
+    rows = zip(range(max(wanted) + 1), _reference_row_stream())
+    return {n: row for n, row in rows if n in wanted}
 
 
 def _first_half(row):
     return row[: (len(row) + 1) // 2]
+
+
+def _clear_far_slots(monkeypatch):
+    monkeypatch.setattr(eulerian, "_last", None)
+    monkeypatch.setattr(eulerian, "_largest", None)
+
+
+def _count_next_row(monkeypatch):
+    calls = []
+    next_row = eulerian._next_row
+
+    def counted(prev, n):
+        calls.append(n)
+        return next_row(prev, n)
+
+    monkeypatch.setattr(eulerian, "_next_row", counted)
+    return calls
 
 
 class _NoAccess:
@@ -104,8 +132,8 @@ class TestTriangle:
 
     def test_alternating_sum_reads_no_stored_row(self, monkeypatch):
         expected = {(n, k): eulerian_number(n, k) for n in (1, 2, 7, 40, 230) for k in range(-1, n + 1)}
-        monkeypatch.setattr(eulerian, "_rows", _NoAccess())
-        monkeypatch.setattr(eulerian, "_far", _NoAccess())
+        for holder in ("_rows", "_last", "_largest"):
+            monkeypatch.setattr(eulerian, holder, _NoAccess())
         for (n, k), value in expected.items():
             assert eulerian_number_by_sum(n, k) == value
 
@@ -128,7 +156,7 @@ class TestRowsPastTheCap:
     ORDER = [230, 205, 260, 260, 210, 201, ROW_MEMO_CAP + 30, 240]
 
     def test_any_request_order_gives_the_reference_rows(self, monkeypatch):
-        monkeypatch.setattr(eulerian, "_far", None)
+        _clear_far_slots(monkeypatch)
         rows = _reference_rows(260)
         for n in self.ORDER:
             row = eulerian_row(n).values
@@ -137,9 +165,9 @@ class TestRowsPastTheCap:
                 assert row[k] == eulerian_number_by_sum(n, k)
 
     def test_concurrent_requests_agree(self, monkeypatch):
-        monkeypatch.setattr(eulerian, "_far", None)
+        _clear_far_slots(monkeypatch)
         expected = {n: eulerian_row(n).values for n in self.ORDER}
-        monkeypatch.setattr(eulerian, "_far", None)
+        _clear_far_slots(monkeypatch)
         results = [[] for _ in range(4)]
 
         def worker(i):
@@ -162,31 +190,55 @@ class TestRowsPastTheCap:
         for got in results:
             assert len(got) == len(self.ORDER)
             assert all(values == expected[n] for n, values in got)
+        m, row = eulerian._largest  # a lost update could leave a smaller row here
+        assert m == max(self.ORDER) and list(row) == list(expected[m][: (m + 1) // 2])
 
     def test_far_store_keeps_one_half_row(self, monkeypatch):
-        monkeypatch.setattr(eulerian, "_far", None)
+        # the last slot holds the half row just asked for
+        _clear_far_slots(monkeypatch)
         for n in self.ORDER + [ROW_MEMO_CAP + 1, 300, 250, 301, 201]:
             eulerian_row(n)
-            m, row = eulerian._far
+            m, row = eulerian._last
             assert m == n and len(row) == (n + 1) // 2
 
     def test_rising_sweep_extends_the_last_far_row(self, monkeypatch):
         eulerian_row(ROW_MEMO_CAP)  # fill the memo
-        monkeypatch.setattr(eulerian, "_far", None)
-        calls = []
-        next_row = eulerian._next_row
-
-        def counted(prev, n):
-            calls.append(n)
-            return next_row(prev, n)
-
-        monkeypatch.setattr(eulerian, "_next_row", counted)
+        _clear_far_slots(monkeypatch)
+        calls = _count_next_row(monkeypatch)
         for n in range(ROW_MEMO_CAP + 1, ROW_MEMO_CAP + 31):
             eulerian_row(n)
         assert len(calls) == 30
         calls.clear()
         eulerian_row(ROW_MEMO_CAP + 30)
         assert calls == []
+
+    def test_repeat_of_the_largest_row_builds_nothing(self, monkeypatch):
+        _clear_far_slots(monkeypatch)
+        eulerian_row(300)
+        for n in (250, 280, ROW_MEMO_CAP + 5, 299):
+            eulerian_row(n)
+        calls = _count_next_row(monkeypatch)
+        eulerian_row(300)
+        assert calls == []
+        eulerian_row(302)  # and a request just past it extends it
+        assert calls == [301, 302]
+
+    def test_at_most_two_half_rows_past_the_cap(self, monkeypatch):
+        _clear_far_slots(monkeypatch)
+        for n in self.ORDER + [300, 250, 301, 201, 310, 305]:
+            eulerian_row(n)
+            assert len(eulerian._rows) == ROW_MEMO_CAP + 1
+            held = {id(row): (m, row) for m, row in (eulerian._last, eulerian._largest)}
+            assert len(held) <= 2
+            assert all(len(row) == (m + 1) // 2 for m, row in held.values())
+
+    def test_exact_workload_request_order(self, monkeypatch):
+        # the row the `exact` benchmark workload asks for past the cap, in its order
+        _clear_far_slots(monkeypatch)
+        order = (800, 299, 599, 800, 499)
+        rows = _reference_rows_at(set(order))
+        for n in order:
+            assert list(eulerian_row(n).values) == rows[n]
 
 
 class TestOddCountPmf:
