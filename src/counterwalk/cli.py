@@ -349,8 +349,23 @@ def _cmd_verify(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     run_all(seed=seed, fast=args.fast, emit=emit, done=done)
     if worst is not None:
-        sys.stderr.write(f"worst margin {worst.margin:.4f} {worst.name}, {failures} failed\n")
+        sys.stderr.write(f"worst margin {worst.margin:.4f} {worst.name}, {failures} failed, "
+                         f"peak RSS {_peak_rss_mb():.1f} MB\n")
     return 1 if failures else 0
+
+
+def _peak_rss_mb() -> float:
+    """This process's peak resident set size in MB: Linux's ``VmHWM`` where
+    it exists, because ``ru_maxrss`` also counts the process this one was
+    started from; else ``ru_maxrss`` (bytes on macOS, KiB elsewhere)."""
+    try:
+        with open("/proc/self/status") as status:
+            return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+    except (OSError, StopIteration):
+        import resource
+
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 # ---------------------------------------------------------------- parser

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .replication import child_seed
-from .walk_engine import _BLOCK_CELLS, _block
+from .walk_engine import _TILE_CELLS, _tiles
 
 #: Exhaustive enumeration is refused above this size ((k-1)! trees).
 ENUMERATION_CAP = 9
@@ -55,11 +54,8 @@ def sample_odd_counts(n: int, reps: int, seed: int) -> np.ndarray:
     if reps < 1:
         raise ValueError("reps must be >= 1")
     out = np.empty(reps, dtype=np.int64)
-    width = max(1, _BLOCK_CELLS // n)
-    for b, start in enumerate(range(0, reps, width)):
-        w = min(width, reps - start)
-        _, _, _, odd, _ = _block(child_seed(seed, b), n, 0.0, w)
-        out[start : start + w] = odd.sum(axis=1)
+    for start, _, _, odd, _ in _tiles(seed, n, 0.0, reps):
+        out[start : start + len(odd)] = odd.sum(axis=1)
     return out
 
 
@@ -78,9 +74,9 @@ def tanny_sample_batch(n: int, reps: int, seed: int) -> np.ndarray:
         return np.zeros(reps, dtype=np.int64)
     rng = np.random.default_rng(seed)
     out = np.empty(reps, dtype=np.int64)
-    # rows drawn in chunks of about _BLOCK_CELLS cells, in order from one
+    # rows drawn in chunks of about _TILE_CELLS cells, in order from one
     # stream, so the draws do not depend on the chunk size
-    chunk = max(1, _BLOCK_CELLS // n)
+    chunk = max(1, _TILE_CELLS // n)
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
         sums = rng.random((stop - start, n)).sum(axis=1)

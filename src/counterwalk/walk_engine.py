@@ -17,7 +17,9 @@ replica by replica, ``n`` innovation uniforms (step ``j``, 0-based, is an
 innovation when its uniform is below ``p``; the first is drawn but ignored)
 and then ``n`` pick uniforms (step ``j`` picks ``floor(uniform * j)``);
 ``seq``'s first spawned child draws one fresh step per innovation, in
-replica and step order.  A narrower block draws a prefix of a wider one.
+replica and step order.  A narrower block draws a prefix of a wider one,
+and a block computed in tiles of consecutive replicas draws exactly what it
+draws whole, so the tile size changes no value.
 Lattice laws (``rademacher``, ``dirac``) are simulated as int64 multiples of
 their lattice step, so their sums are exact; float laws finish their sums
 correctly rounded (the value `math.fsum` returns), by exact integer binning
@@ -30,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -114,8 +116,9 @@ class StepLaw:
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws as float64 (an exact law's draws are its lattice
         step, rounded to float, times `sample_units`).  Draws are consumed
-        one step at a time, so the first ``k`` of ``size`` draws equal
-        ``sample_batch(rng, k)`` from the same generator state."""
+        one step at a time, so calls of sizes ``k`` and ``m`` in turn give
+        the draws of one call of size ``k + m`` from the same generator
+        state; the first ``k`` draws are ``sample_batch(rng, k)``."""
         if self.exact:
             return float(self.lattice_step) * self.sample_units(rng, size)
         if self.kind == "uniform":
@@ -212,19 +215,44 @@ def forest(innov: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray
         target = jump
 
 
-def _block(seed: int, n: int, p: float, w: int) -> tuple:
-    """One block of ``w`` replicas in the draw layout of the module
-    docstring: returns ``(innov, picks, root, odd, steps)``, the first four
-    of shape ``(w, n)``, and ``steps``, the generator for the block's fresh
-    step draws."""
+#: Cells per block of `_tiles`, which fixes the replicas that share a seed,
+#: and per tile, which changes no output: small enough that a tile's arrays
+#: are reused, not paged in anew.  `recursive_tree` sums uniforms in tiles too.
+_BLOCK_CELLS = 1 << 17
+_TILE_CELLS = 1 << 13
+
+
+def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The uniform and the fresh-step generator of the block on ``seed``."""
     seq = np.random.SeedSequence(seed)
-    u = np.random.default_rng(seq).random((w, 2, n))
+    return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
+
+
+def _tile(rng: np.random.Generator, n: int, p: float, w: int) -> tuple:
+    """The next ``w`` replicas of a block whose uniforms ``rng`` draws:
+    returns ``(innov, picks, root, odd)``, each of shape ``(w, n)``."""
+    u = rng.random((w, 2, n))
     innov = u[:, 0] < p
     innov[:, 0] = True
     picks = (u[:, 1] * np.arange(n)).astype(np.int64)
     # `u` lives through `forest`: freed before it, its pages were faulted in anew each block
     root, odd = forest(innov, picks)
-    return innov, picks, root, odd, np.random.default_rng(seq.spawn(1)[0])
+    return innov, picks, root, odd
+
+
+def _tiles(seed: int, n: int, p: float, reps: int) -> Iterator[tuple]:
+    """Block scheduler: ``reps`` replicas in blocks of ``_BLOCK_CELLS // n``,
+    block ``b`` on ``child_seed(seed, b)``, run in tiles of ``_TILE_CELLS //
+    n`` (each at least 1).  Yields ``(start, innov, root, odd, steps)`` per
+    tile; the tile draws its fresh steps from ``steps`` before the next."""
+    width = max(1, _BLOCK_CELLS // n)
+    tile = max(1, _TILE_CELLS // n)
+    for b, block in enumerate(range(0, reps, width)):
+        rng, steps = _streams(child_seed(seed, b))
+        end = min(block + width, reps)
+        for start in range(block, end, tile):
+            innov, _, root, odd = _tile(rng, n, p, min(tile, end - start))
+            yield start, innov, root, odd, steps
 
 
 def _total(law: StepLaw, a: np.ndarray) -> Number:
@@ -357,7 +385,8 @@ def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
     p = Fraction(p)
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
-    (eps,), (picks,), (root,), (odd,), steps = _block(seed, n, float(p), 1)
+    rng, steps = _streams(seed)
+    (eps,), (picks,), (root,), (odd,) = _tile(rng, n, float(p), 1)
     i_n = int(eps.sum())
     x = law.sample_units(steps, i_n) if law.exact else law.sample_batch(steps, i_n)
     tree_id = np.cumsum(eps)[root]
@@ -455,11 +484,6 @@ class BatchSummary:
     nu1: np.ndarray | None
 
 
-#: Cells per block in `simulate_batch` and `recursive_tree` (its forests and
-#: its uniform sums): small enough that a block's arrays stay in cache.
-_BLOCK_CELLS = 1 << 17
-
-
 def simulate_batch(
     n: int,
     p: Number,
@@ -483,8 +507,8 @@ def simulate_batch(
     of any run equal the run with ``reps = k``, bit for bit.
 
     Bounded memory: besides the two ``reps``-long outputs, a call holds the
-    arrays of one block, about ``max(n, _BLOCK_CELLS)`` cells, at a time,
-    however large ``reps`` is.
+    arrays of one tile of `_tiles`, about ``max(n, _TILE_CELLS)`` cells, at
+    a time, however large ``reps`` is.
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
@@ -496,11 +520,8 @@ def simulate_batch(
 
     s_check = np.empty(reps)
     nu1 = np.empty(reps, dtype=np.int64) if census else None
-    width = max(1, _BLOCK_CELLS // n)
-    for b, start in enumerate(range(0, reps, width)):
-        w = min(width, reps - start)
-        innov, picks, root, odd, steps = _block(child_seed(seed, b), n, float(p), w)
-        del picks  # only `simulate` reads them; kept, they raise the peak
+    for start, innov, root, odd, steps in _tiles(seed, n, float(p), reps):
+        w = len(innov)
         # flat root cells come out replica by replica, as their steps are drawn
         key = root.ravel()
         sign = (1 - 2 * odd.view(np.int8)).astype(np.float64)  # far faster than from bool

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import counterwalk
+import counterwalk.cli as cli
 from counterwalk.cli import ExperimentConfig, main
 
 
@@ -348,6 +349,7 @@ class TestVerifyCommand:
             return reports
 
         monkeypatch.setattr(acceptance, "run_all", tiny_run_all)
+        monkeypatch.setattr(cli, "_peak_rss_mb", lambda: 39.46)
         code, out, err = run_cli(capsys, "verify", "all", "--seed", "1", "--fast")
         assert code == 0
         lines = out.strip().splitlines()
@@ -358,10 +360,11 @@ class TestVerifyCommand:
         assert err.splitlines() == [
             "c01 0.250 s, worst margin 0.0000 c01_eulerian_exact",
             "c04 0.250 s, worst margin 0.0000 c04_parity_moments",
-            "worst margin 0.0000 c01_eulerian_exact, 0 failed",
+            "worst margin 0.0000 c01_eulerian_exact, 0 failed, peak RSS 39.5 MB",
         ]
 
-    def test_stdout_is_reproducible_and_stderr_reports_margins(self, capsys):
+    def test_stdout_is_reproducible_and_stderr_reports_margins(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_peak_rss_mb", lambda: 50.0)
         code, out, err = run_cli(capsys, "verify", "all", "--fast")
         assert code == 0
         again_code, again_out, _ = run_cli(capsys, "verify", "all", "--fast")
@@ -378,7 +381,7 @@ class TestVerifyCommand:
             assert float(margin) == pytest.approx(
                 max(m for key, m in margins.items() if key.startswith(cid + "_")), abs=1e-4)
         worst = max(margins, key=margins.get)
-        assert closing == f"worst margin {margins[worst]:.4f} {worst}, 0 failed"
+        assert closing == f"worst margin {margins[worst]:.4f} {worst}, 0 failed, peak RSS 50.0 MB"
 
 
 class TestExperimentConfig:
@@ -402,6 +405,18 @@ def run_python(*args, timeout=60):
     """A fresh interpreter on the package sources; returns the finished process."""
     return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=timeout)
+
+
+def test_peak_rss_counts_this_process_only():
+    # `ru_maxrss` of a process started by a larger one reports the larger
+    # one's peak; the closing line of `verify all` must not
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("reads Linux's per-process status file")
+    probe = "import counterwalk.cli as cli; print(cli._peak_rss_mb())"
+    ballast = b"\x01" * (64 << 20)  # 64 MB, written, so resident while the probe starts
+    peak = float(run_python("-c", probe).stdout)
+    del ballast
+    assert 1 < peak < 40
 
 
 def test_cli_import_loads_neither_scipy_nor_a_process_pool():

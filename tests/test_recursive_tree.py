@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counterwalk import walk_engine
 from counterwalk.eulerian import ExactPmf, delta_moment, odd_count_pmf
 from counterwalk.recursive_tree import (
     ENUMERATION_CAP,
@@ -17,7 +18,7 @@ from counterwalk.recursive_tree import (
     tanny_sample_batch,
 )
 from counterwalk.replication import child_seed
-from counterwalk.walk_engine import _BLOCK_CELLS, StepLaw, simulate_batch
+from counterwalk.walk_engine import _BLOCK_CELLS, _TILE_CELLS, StepLaw, simulate_batch
 from counterwalk.verify import tv_distance
 
 
@@ -184,9 +185,9 @@ class TestTanny:
         assert np.array_equal(a, b)
 
     def test_chunks_draw_the_rows_of_one_matrix(self):
-        # 3 full chunks of _BLOCK_CELLS // n rows and a partial fourth
+        # 3 full chunks of _TILE_CELLS // n rows and a partial fourth
         n = 1000
-        reps = 3 * (_BLOCK_CELLS // n) + 7
+        reps = 3 * (_TILE_CELLS // n) + 7
         one = np.random.default_rng(3).random((reps, n)).sum(axis=1)
         draws = tanny_sample_batch(n, reps, 3)
         assert draws.tobytes() == np.ceil(one).astype(np.int64).tobytes()
@@ -243,6 +244,15 @@ class TestBatchParity:
         reps = 2 * max(1, _BLOCK_CELLS // n) + 3
         batch = simulate_batch(n, 0, StepLaw.dirac(1), reps, 21, census=False)
         assert np.array_equal(sample_odd_counts(n, reps, 21), (n - batch.s_check) / 2)
+
+    @pytest.mark.parametrize("n", [1, 6, _TILE_CELLS - 1, _TILE_CELLS, _TILE_CELLS + 1,
+                                   3 * _TILE_CELLS])
+    def test_tiles_are_bit_identical_to_whole_blocks(self, n, monkeypatch):
+        width = max(1, _BLOCK_CELLS // n)
+        reps = 2 * width + width // 2 + 1
+        tiled = sample_odd_counts(n, reps, 23)
+        monkeypatch.setattr(walk_engine, "_TILE_CELLS", _BLOCK_CELLS)
+        assert np.array_equal(tiled, sample_odd_counts(n, reps, 23))
 
     def test_replica_prefix_is_stable(self):
         n = 1000

@@ -10,12 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from counterwalk import walk_engine
 from counterwalk.eulerian import ExactPmf
 from counterwalk.replication import child_seed
 from counterwalk.verify import brute_force_walk_pmf, tv_distance
 from counterwalk.walk_engine import (
     _BLOCK_CELLS,
     _GRAMMAR,
+    _TILE_CELLS,
     StepLaw,
     _float_total,
     decompose,
@@ -169,6 +171,20 @@ class TestStepLaw:
             full = law.sample_batch(np.random.default_rng(13), size)
             part = law.sample_batch(np.random.default_rng(13), k)
             assert full[:k].tobytes() == part.tobytes()
+
+    def test_laws_cover_the_grammar(self):
+        assert sorted(law.kind for law in ALL_LAWS) == sorted(_GRAMMAR)
+
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+    @settings(max_examples=25, deadline=None)
+    @given(size=st.integers(0, 600), split=st.integers(0, 600), seed=st.integers(0, 2**32 - 1))
+    def test_consecutive_batches_are_one_batch(self, law, size, split, seed):
+        # the tiles of a batch block draw their steps one after the other
+        k = min(split, size)
+        rng = np.random.default_rng(seed)
+        parts = np.concatenate((law.sample_batch(rng, k), law.sample_batch(rng, size - k)))
+        whole = law.sample_batch(np.random.default_rng(seed), size)
+        assert parts.tobytes() == whole.tobytes()
 
 
 class TestForest:
@@ -625,6 +641,34 @@ class TestBatch:
             part = simulate_batch(n, Fraction(1, 2), law, k, 99)
             assert full.s_check[:k].tobytes() == part.s_check.tobytes()
             assert np.array_equal(full.nu1[:k], part.nu1)
+
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+    @pytest.mark.parametrize("n", [1, 6, _TILE_CELLS - 1, _TILE_CELLS, _TILE_CELLS + 1,
+                                   3 * _TILE_CELLS])
+    def test_tiles_are_bit_identical_to_whole_blocks(self, law, n, monkeypatch):
+        # two full blocks and a short third one; a short last tile wherever
+        # a tile holds several replicas
+        width = max(1, _BLOCK_CELLS // n)
+        reps = 2 * width + width // 2 + 1
+        tiled = simulate_batch(n, Fraction(1, 2), law, reps, 17)
+        monkeypatch.setattr(walk_engine, "_TILE_CELLS", _BLOCK_CELLS)
+        whole = simulate_batch(n, Fraction(1, 2), law, reps, 17)
+        assert tiled.s_check.tobytes() == whole.s_check.tobytes()
+        assert np.array_equal(tiled.nu1, whole.nu1)
+
+    def test_memory_is_bounded_by_the_tile(self):
+        # a tile's arrays come to about a dozen float64 arrays of _TILE_CELLS
+        # cells; a whole block of _BLOCK_CELLS cells holds 16 times as many
+        law = StepLaw.pareto_symmetric(Fraction(3, 2))
+        reps = 2 * (_BLOCK_CELLS // 1000) + 5
+        simulate_batch(1000, Fraction(1, 2), law, 1, 5)  # lazy imports stay out of the trace
+        tracemalloc.start()
+        try:
+            simulate_batch(1000, Fraction(1, 2), law, reps, 5, census=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * _TILE_CELLS * 8
 
     def test_memory_does_not_grow_with_reps(self):
         law = StepLaw.pareto_symmetric(Fraction(3, 2))
