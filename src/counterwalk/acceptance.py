@@ -443,21 +443,16 @@ def run_criterion(cid: str, seed: int = DEFAULT_SEED, fast: bool = False) -> lis
 def run_all(
     seed: int = DEFAULT_SEED,
     fast: bool = False,
-    emit: Callable[[CheckReport], None] | None = None,
     done: Callable[[str, "list[CheckReport]", float], None] | None = None,
 ) -> list[CheckReport]:
-    """Run every criterion in order; optionally stream reports as they land
-    (``emit``) and hand each criterion's id, reports and wall seconds to
-    ``done`` once it finishes."""
+    """Run every criterion in order; optionally hand each criterion's id,
+    reports and wall seconds to ``done`` as soon as it finishes."""
     reports: list[CheckReport] = []
     for cid, _, _ in ACCEPTANCE_CRITERIA:
         start = time.perf_counter()
         batch = run_criterion(cid, seed, fast)
         seconds = time.perf_counter() - start
-        for report in batch:
-            reports.append(report)
-            if emit is not None:
-                emit(report)
+        reports += batch
         if done is not None:
             done(cid, batch, seconds)
     return reports

@@ -15,7 +15,6 @@ from fractions import Fraction
 from typing import Union
 
 from .eulerian import delta_moment, odd_count_pmf
-from .recursive_tree import increasing_tree_deltas
 
 Number = Union[int, float, Fraction]
 
@@ -311,11 +310,13 @@ class ShapeWeightedSum:
     """Exact evaluation of the size-plus-parity weighted shape series
     ``sum_tau (|tau| + delta(tau)^2) / (1+rho)^(rising |tau|)``.
 
-    ``truncated`` enumerates every shape up to ``size_cap`` vertices;
-    ``tail`` closes the remainder with the exact second parity moments
-    (``k/3`` for all sizes above the cap); their sum is the exact value
-    of the series.  Candidate closed forms are reported side by side and
-    deliberately not asserted anywhere.
+    The ``(k-1)!`` increasing trees of size ``k`` are equally likely, so
+    the size-``k`` shell is ``B(k, 1+rho) (k + E(delta_k^2))``.
+    ``truncated`` sums these shells up to ``size_cap`` with the exact
+    parity moments of `eulerian.delta_moment`; ``tail`` closes the
+    remainder in closed form (``E(delta_k^2) = k/3`` above the cap);
+    their sum is the exact value of the series.  Candidate closed forms
+    are reported side by side and deliberately not asserted anywhere.
     """
 
     size_cap: int
@@ -331,15 +332,12 @@ def shape_weighted_sum(p: Number, size_cap: int = 9) -> ShapeWeightedSum:
     _check_open01(p)
     if size_cap < 3:
         raise ValueError("size_cap must be >= 3")
-    rho = rho_of(p)
     truncated = Fraction(0)
     k_beta_partial = Fraction(0)
     for k in range(1, size_cap + 1):
-        rise = rising_factorial(1 + rho, k)
-        deltas = increasing_tree_deltas(k, cap=size_cap)
-        shell = k * len(deltas) + int(deltas @ deltas)
-        truncated += shell / rise
-        k_beta_partial += k * beta_of_k(k, p)
+        beta = beta_of_k(k, p)
+        truncated += beta * (k + delta_moment(k, 2))
+        k_beta_partial += k * beta
     # above the cap the second parity moment is exactly k/3, so the
     # remainder collapses to (4/3) * (remaining mean mass)
     tail = Fraction(4, 3) * ((1 - p) / p - k_beta_partial)

@@ -38,8 +38,9 @@ from . import __version__
 
 # Only the exact layer and the replica scheduler, neither of which loads
 # numpy, are imported here; every other handler imports its own layers when
-# called.  So `exact odd-pmf`, `exact delta-pmf` and `table eulerian` never
-# load numpy, and a `simulate` process never loads the acceptance suite, the
+# called.  So `exact odd-pmf`, `exact delta-pmf`, `table eulerian` and
+# `limits stable` (whose asymptotics read only the exact layer) never load
+# numpy, and a `simulate` process never loads the acceptance suite, the
 # verifier or the asymptotics.
 from .eulerian import delta_pmf, eulerian_row, odd_count_pmf
 from .replication import child_seed, run_replicas
@@ -332,22 +333,18 @@ def _cmd_verify(args) -> int:
     failures = 0
     worst = None
 
-    def emit(report) -> None:
-        nonlocal failures
-        if not report.passed:
-            failures += 1
-        sys.stdout.write(report.to_json() + "\n")
-        sys.stdout.flush()
-
     def done(cid, reports, seconds) -> None:
-        nonlocal worst
+        nonlocal failures, worst
+        failures += sum(not r.passed for r in reports)
+        sys.stdout.write("".join(r.to_json() + "\n" for r in reports))
+        sys.stdout.flush()
         top = max(reports, key=lambda r: r.margin)
         if worst is None or top.margin > worst.margin:
             worst = top
         sys.stderr.write(f"{cid} {seconds:.3f} s, worst margin {top.margin:.4f} {top.name}\n")
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    run_all(seed=seed, fast=args.fast, emit=emit, done=done)
+    run_all(seed=seed, fast=args.fast, done=done)
     if worst is not None:
         sys.stderr.write(f"worst margin {worst.margin:.4f} {worst.name}, {failures} failed, "
                          f"peak RSS {_peak_rss_mb():.1f} MB\n")

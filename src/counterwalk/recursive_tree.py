@@ -1,11 +1,13 @@
-"""Random recursive / increasing trees: sampling and parity census.
+"""Random recursive / increasing trees: samplers of the odd-vertex count.
 
 A tree on vertices ``1..k`` is given by its parent sequence
 ``(par(2), ..., par(k))`` with ``par(j) < j``; vertex 1 is the root.  That
-sequence *is* the canonical identity of an increasing tree, so shape
-statistics are plain dictionary lookups and no isomorphism test ever runs.
-Random trees are sampled as `walk_engine.forest` forests without
-innovations, in the draw layout of `walk_engine`.
+sequence *is* the canonical identity of an increasing tree, and
+`walk_engine.forest_census` keys its shape counts by it (vertices numbered
+by arrival inside each tree), so no isomorphism test ever runs.  The exact
+parity laws of these trees live in `eulerian`.  Random trees are sampled
+as `walk_engine.forest` forests without innovations, in the draw layout of
+`walk_engine`.
 """
 
 from __future__ import annotations
@@ -13,31 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from .walk_engine import _TILE_CELLS, _tiles
-
-#: Exhaustive enumeration is refused above this size ((k-1)! trees).
-ENUMERATION_CAP = 9
-
-
-def increasing_tree_deltas(k: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
-    """``even - odd`` of every increasing tree of size ``k``, in
-    lexicographic order of the parent sequences.
-
-    The depth parities of all ``(k-1)!`` trees grow one vertex at a time as
-    the rows of an int8 matrix, each row followed by its ``j - 1``
-    extensions with vertex ``j`` hung below vertex ``1 .. j-1`` in turn.
-    Refuses ``k > cap`` (factorial blow-up).
-    """
-    if k < 1:
-        raise ValueError("tree size must be >= 1")
-    if k > cap:
-        raise ValueError(f"enumeration of size {k} exceeds the cap {cap}")
-    parity = np.zeros((1, 1), dtype=np.int8)
-    for j in range(2, k + 1):
-        rows = len(parity)
-        parity = np.repeat(parity, j - 1, axis=0)
-        parent = np.tile(np.arange(j - 1), rows)
-        parity = np.column_stack((parity, parity[np.arange(len(parity)), parent] ^ 1))
-    return k - 2 * parity.sum(axis=1, dtype=np.int64)
 
 
 def sample_odd_counts(n: int, reps: int, seed: int) -> np.ndarray:

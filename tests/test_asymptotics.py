@@ -327,6 +327,11 @@ class TestShapeSeries:
             sws = shape_weighted_sum(p, size_cap=7)
             assert sws.total == sws.candidate_grouped
 
+    def test_pinned_half_at_the_gate_cap(self):
+        # exact literals for the series that c14 reports (size_cap = 9)
+        sws = shape_weighted_sum(HALF, 9)
+        assert (sws.truncated, sws.tail, sws.total) == (Fraction(83, 66), Fraction(8, 33), Fraction(3, 2))
+
     def test_candidates_differ(self):
         sws = shape_weighted_sum(HALF, size_cap=5)
         assert sws.candidate_simple != sws.candidate_grouped

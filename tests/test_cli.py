@@ -338,12 +338,10 @@ class TestVerifyCommand:
         import counterwalk.acceptance as acceptance
         from counterwalk.acceptance import run_criterion
 
-        def tiny_run_all(seed, fast, emit, done):
+        def tiny_run_all(seed, fast, done):
             reports = []
             for cid in ("c01", "c04"):
                 batch = run_criterion(cid, seed, fast)
-                for report in batch:
-                    emit(report)
                 done(cid, batch, 0.25)
                 reports += batch
             return reports
@@ -427,15 +425,16 @@ def test_cli_import_loads_neither_scipy_nor_a_process_pool():
 
 
 def test_cli_import_and_exact_commands_load_no_numpy():
-    # the exact commands and the tables never need numpy; the handlers that
-    # do import the engine themselves
+    # the exact commands, the tables and the stable exponent never need
+    # numpy; the handlers that do import the engine themselves
     probe = "\n".join([
         "import contextlib, io, sys",
-        "import counterwalk.cli",
+        "import counterwalk.cli, counterwalk.asymptotics",
         "print('numpy' in sys.modules)",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    for argv in (['exact', 'odd-pmf', '--n', '30'], ['exact', 'delta-pmf', '--n', '30'],",
-        "                 ['table', 'eulerian', '--n', '30']):",
+        "                 ['table', 'eulerian', '--n', '30'],",
+        "                 ['limits', 'stable', '--alpha', '1.5', '--p', '1/2', '--theta', '0.7']):",
         "        assert counterwalk.cli.main(argv) == 0",
         "print('numpy' in sys.modules)",
     ])
