@@ -21,7 +21,6 @@ from . import asymptotics as asym
 from .eulerian import (
     ExactPmf,
     delta_moment,
-    delta_pmf,
     eulerian_number,
     eulerian_number_by_sum,
     eulerian_row,

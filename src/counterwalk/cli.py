@@ -38,10 +38,11 @@ from . import __version__
 
 # Only the exact layer and the replica scheduler, neither of which loads
 # numpy, are imported here; every other handler imports its own layers when
-# called.  So `exact odd-pmf`, `exact delta-pmf`, `table eulerian` and
-# `limits stable` (whose asymptotics read only the exact layer) never load
-# numpy, and a `simulate` process never loads the acceptance suite, the
-# verifier or the asymptotics.
+# called.  So `exact odd-pmf`, `exact delta-pmf`, `table eulerian`, `limits
+# stable` (whose asymptotics read only the exact layer), `exact walk-oracle`
+# and `limits` (whose step laws and oracle import numpy only where they draw
+# or reduce) never load numpy, and a `simulate` process never loads the
+# acceptance suite, the verifier or the asymptotics.
 from .eulerian import delta_pmf, eulerian_row, odd_count_pmf
 from .replication import child_seed, run_replicas
 

@@ -21,12 +21,14 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .eulerian import ExactPmf
-from .walk_engine import StepLaw
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .walk_engine import StepLaw
 
 Number = Union[int, float, Fraction]
 
@@ -152,6 +154,8 @@ def ks_normal(
     The acceptance band ``1.63/sqrt(M)`` is a generous asymptotic 1%-level
     band, used as a deterministic gate rather than a test.
     """
+    import numpy as np
+
     x = np.asarray(samples, dtype=np.float64)
     m = x.size
     if m < 100:
@@ -178,6 +182,8 @@ def moment_check(
 ) -> CheckReport:
     """Standardized z-score of the sample mean against ``target``, in units
     of its standard error ``std(ddof=1) / sqrt(M)``."""
+    import numpy as np
+
     x = np.asarray(samples, dtype=np.float64)
     if x.size < 2:
         raise ValueError("moment check needs at least 2 samples")
@@ -208,6 +214,8 @@ def empirical_cf(samples: Sequence[float] | np.ndarray, theta: float) -> CfEstim
     Component standard errors are sample sds over sqrt(M), hence always
     at most ``1/sqrt(M)`` for the bounded integrand.
     """
+    import numpy as np
+
     x = np.asarray(samples, dtype=np.float64)
     m = x.size
     if m < 1000:

@@ -24,6 +24,10 @@ Lattice laws (``rademacher``, ``dirac``) are simulated as int64 multiples of
 their lattice step, so their sums are exact; float laws finish their sums
 correctly rounded (the value `math.fsum` returns), by exact integer binning
 (`_float_total`), and compensate their partial sums.
+
+numpy is imported by the functions that draw or reduce, not by the module:
+the law grammar (`parse_mu_spec`) and the `StepLaw` constructors run
+without numpy, so the exact walk oracle and the limit constants never load it.
 """
 
 from __future__ import annotations
@@ -32,12 +36,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Union
 
 from .eulerian import ExactPmf, _as_exact
 from .replication import child_seed
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Number = Union[int, float, Fraction]
 
@@ -107,6 +112,8 @@ class StepLaw:
 
     def sample_units(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws of an exact law as int64 multiples of `lattice_step`."""
+        import numpy as np
+
         if self.kind == "rademacher":
             return 2 * rng.integers(0, 2, size=size) - 1
         if self.kind == "dirac":
@@ -119,6 +126,8 @@ class StepLaw:
         one step at a time, so calls of sizes ``k`` and ``m`` in turn give
         the draws of one call of size ``k + m`` from the same generator
         state; the first ``k`` draws are ``sample_batch(rng, k)``."""
+        import numpy as np
+
         if self.exact:
             return float(self.lattice_step) * self.sample_units(rng, size)
         if self.kind == "uniform":
@@ -200,6 +209,8 @@ def forest(innov: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     recursive tree of depth about ``e ln n`` needs about ``log2(e ln n)``
     rounds.
     """
+    import numpy as np
+
     n = innov.shape[-1]
     step = np.arange(n)
     parent = np.where(innov, step, picks)
@@ -224,6 +235,8 @@ _TILE_CELLS = 1 << 13
 
 def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     """The uniform and the fresh-step generator of the block on ``seed``."""
+    import numpy as np
+
     seq = np.random.SeedSequence(seed)
     return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
 
@@ -231,6 +244,8 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 def _tile(rng: np.random.Generator, n: int, p: float, w: int) -> tuple:
     """The next ``w`` replicas of a block whose uniforms ``rng`` draws:
     returns ``(innov, picks, root, odd)``, each of shape ``(w, n)``."""
+    import numpy as np
+
     u = rng.random((w, 2, n))
     innov = u[:, 0] < p
     innov[:, 0] = True
@@ -278,6 +293,8 @@ def _float_total(a: np.ndarray) -> float:
     an exact sum beyond the float range raises `OverflowError`, and a
     non-finite input gets exactly `math.fsum`'s value or error.
     """
+    import numpy as np
+
     if not np.isfinite(a).all():
         return math.fsum(a.tolist())
     frac, exp = np.frexp(a)
@@ -305,6 +322,8 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
     """Prefix sums: exact for int64 lattice counts; for float64 the plain
     running sum plus its accumulated rounding errors, each recovered exactly
     by TwoSum, which is as accurate as Kahan summation."""
+    import numpy as np
+
     s = np.cumsum(a)
     if s.dtype.kind != "f":
         return s
@@ -340,6 +359,8 @@ class WalkRun:
     def x_check(self) -> np.ndarray:
         """Counterbalanced steps: the tree's draw, negated at odd depth
         (computed once per run)."""
+        import numpy as np
+
         base = self.x[self.tree_id - 1]
         return np.where(self.parity, -base, base)
 
@@ -369,6 +390,8 @@ class WalkRun:
         """Float64 values of ``a``, one of this run's step or sum arrays,
         each correctly rounded: a lattice count times the step's numerator
         is a Python integer, divided once by its denominator."""
+        import numpy as np
+
         step = self.law.lattice_step
         if step is None:
             return a
@@ -380,6 +403,8 @@ def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
     """Run the coupled recursion for ``n`` steps as the one-replica block
     on ``seed`` of the module docstring's draw layout; the same seed
     reproduces the run bit for bit."""
+    import numpy as np
+
     if n < 1:
         raise ValueError("horizon must be >= 1")
     p = Fraction(p)
@@ -413,6 +438,8 @@ class ForestCensus:
 
 def _tree_stats(run: WalkRun) -> tuple[np.ndarray, np.ndarray]:
     """Per-tree sizes and even-minus-odd deltas, in innovation order."""
+    import numpy as np
+
     t = run.tree_id - 1
     counts = np.bincount(t, minlength=run.innovations)
     odd = np.bincount(t, weights=run.parity, minlength=run.innovations).astype(np.int64)
@@ -428,6 +455,8 @@ def forest_census(run: WalkRun, shape_cap: int = 6) -> ForestCensus:
     the sequence of its vertices' parents, numbered by arrival inside the
     tree.
     """
+    import numpy as np
+
     counts, deltas = _tree_stats(run)
     freq = np.bincount(counts)
     sizes = np.flatnonzero(freq)
@@ -459,6 +488,8 @@ def decompose(run: WalkRun) -> dict[int, Number]:
     ``k``; the components reconstruct the final position (exactly for
     exact laws, to 1e-9 relative for float laws).
     """
+    import numpy as np
+
     counts, deltas = _tree_stats(run)
     order = np.argsort(counts, kind="stable")
     sizes, starts = np.unique(counts[order], return_index=True)
@@ -510,6 +541,8 @@ def simulate_batch(
     arrays of one tile of `_tiles`, about ``max(n, _TILE_CELLS)`` cells, at
     a time, however large ``reps`` is.
     """
+    import numpy as np
+
     if n < 1:
         raise ValueError("horizon must be >= 1")
     if reps < 1:

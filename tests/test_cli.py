@@ -425,15 +425,21 @@ def test_cli_import_loads_neither_scipy_nor_a_process_pool():
 
 
 def test_cli_import_and_exact_commands_load_no_numpy():
-    # the exact commands, the tables and the stable exponent never need
-    # numpy; the handlers that do import the engine themselves
+    # the exact commands, the tables, the limit constants and the stable
+    # exponent never need numpy; the engine and the verifier import it only
+    # in the functions that draw or reduce
     probe = "\n".join([
         "import contextlib, io, sys",
-        "import counterwalk.cli, counterwalk.asymptotics",
+        "import counterwalk.cli, counterwalk.asymptotics, counterwalk.walk_engine, counterwalk.verify",
+        "from counterwalk.walk_engine import _GRAMMAR, parse_mu_spec",
+        "for kind, (_, count, _) in _GRAMMAR.items():  # one law of every kind, all parameters 1",
+        "    assert parse_mu_spec(kind + (':' + ','.join(['1'] * count) if count else '')).kind == kind",
         "print('numpy' in sys.modules)",
         "with contextlib.redirect_stdout(io.StringIO()):",
         "    for argv in (['exact', 'odd-pmf', '--n', '30'], ['exact', 'delta-pmf', '--n', '30'],",
+        "                 ['exact', 'walk-oracle', '--n', '30', '--p', '1/2', '--mu', 'rademacher'],",
         "                 ['table', 'eulerian', '--n', '30'],",
+        "                 ['limits', '--p', '1/2', '--mu', 'gauss:0,1'],",
         "                 ['limits', 'stable', '--alpha', '1.5', '--p', '1/2', '--theta', '0.7']):",
         "        assert counterwalk.cli.main(argv) == 0",
         "print('numpy' in sys.modules)",
