@@ -139,8 +139,9 @@ class StepLaw:
         u = rng.random((size, 2))
         x = np.subtract(1.0, u[:, 0])
         x **= -1.0 / float(self.params[0])
-        np.negative(x, out=x, where=u[:, 1] < 0.5)
-        return x
+        # x >= 1 takes the sign of u - 1/2: exact, + at 1/2, shifted in place
+        u[:, 1] -= 0.5
+        return np.copysign(x, u[:, 1], out=x)
 
 
 def _float_sized(x: Fraction, name: str) -> Fraction:
@@ -215,12 +216,14 @@ def forest(innov: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray
     step = np.arange(n)
     parent = np.where(innov, step, picks)
     parent[..., 0] = 0
-    odd = (parent != step).ravel()
+    # a hanging step's pick is below it, so exactly the hanging steps start odd
+    odd = (~innov).ravel()
+    odd[::n] = False
     # flat indices in C order, so one gather serves every replica at once
     target = (parent + n * np.arange(parent.size // n).reshape(innov.shape[:-1] + (1,))).ravel()
     while True:
         jump = target[target]
-        if np.array_equal(jump, target):
+        if (jump == target).all():
             return target.reshape(innov.shape), odd.reshape(innov.shape)
         odd ^= odd[target]
         target = jump
@@ -558,10 +561,10 @@ def simulate_batch(
         # flat root cells come out replica by replica, as their steps are drawn
         key = root.ravel()
         sign = (1 - 2 * odd.view(np.int8)).astype(np.float64)  # far faster than from bool
-        delta = np.bincount(key, weights=sign.ravel(), minlength=key.size)[innov.ravel()]
+        cells = np.flatnonzero(innov)
+        delta = np.bincount(key, weights=sign.ravel(), minlength=key.size)[cells]
         x = law.sample_batch(steps, delta.size)
-        owner = np.flatnonzero(innov) // n
-        s_check[start : start + w] = np.bincount(owner, weights=delta * x, minlength=w)
+        s_check[start : start + w] = np.bincount(cells // n, weights=delta * x, minlength=w)
         if census:
             sizes = np.bincount(key, minlength=key.size).reshape(w, n)
             nu1[start : start + w] = (sizes == 1).sum(axis=1)

@@ -65,6 +65,18 @@ def reference_forest(innov, picks):
     return root, odd
 
 
+class FixedUniforms:
+    """Generator stub: `random` returns a fresh copy of the given uniforms,
+    whose shape must be the one asked for."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=np.float64)
+
+    def random(self, shape):
+        assert self.u.shape == tuple(np.atleast_1d(shape))
+        return self.u.copy()
+
+
 def random_forest_input(n, p, rng, width=None):
     shape = (n,) if width is None else (width, n)
     innov = rng.random(shape) < p
@@ -164,6 +176,30 @@ class TestStepLaw:
         draws = StepLaw.pareto_symmetric(alpha).sample_batch(np.random.default_rng(2024), 5000)
         assert draws.tobytes() == expected.tobytes()
 
+    def test_pareto_signs_at_the_edges(self):
+        # sign uniforms on both sides of 1/2, which itself gives +
+        signs = [0.0, 0.5 - 2.0**-53, 0.5, 0.75]
+        mags = [0.0, 0.3, 1.0 - 2.0**-53]
+        u = np.array([(m, s) for m in mags for s in signs])
+        law = StepLaw.pareto_symmetric(Fraction(3, 2))
+        draws = law.sample_batch(FixedUniforms(u), len(u))
+        mag = (1.0 - u[:, 0]) ** (-1.0 / 1.5)
+        assert draws.tobytes() == np.where(u[:, 1] < 0.5, -mag, mag).tobytes()
+        assert np.signbit(draws).tolist() == [True, True, False, False] * len(mags)
+
+    def test_pareto_draws_hold_only_uniforms_and_output(self):
+        # the sign column is shifted in place: no mask and no shifted copy
+        size = 100_000
+        law = StepLaw.pareto_symmetric(Fraction(3, 2))
+        law.sample_batch(np.random.default_rng(1), 10)  # lazy imports stay out of the trace
+        tracemalloc.start()
+        try:
+            law.sample_batch(np.random.default_rng(1), size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= size * 2 * 8 + size * 8 + 64 * 1024
+
     @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
     def test_sample_batch_prefix_is_a_shorter_batch(self, law):
         # the batch engine draws a short last block as a prefix of a full one
@@ -214,6 +250,32 @@ class TestForest:
         root, odd = forest(np.zeros(4, dtype=bool), np.zeros(4, dtype=np.int64))
         assert root.tolist() == [0, 0, 0, 0]
         assert odd.tolist() == [False, True, True, True]
+        # every replica of a tile, with innovations after step 0 or none
+        innov = np.array([[False, False, True, False],
+                          [False, True, False, False],
+                          [False, False, False, False]])
+        picks = np.array([[0, 0, 0, 2], [0, 0, 1, 0], [0, 0, 1, 2]])
+        root, odd = forest(innov, picks)
+        assert root.tolist() == [[0, 0, 2, 2], [4, 5, 5, 4], [8, 8, 8, 8]]
+        assert odd.tolist() == [[False, True, False, True],
+                                [False, False, True, True],
+                                [False, True, False, True]]
+
+    def test_largest_uniform_picks_below_the_step(self):
+        # `forest` starts exactly the hanging steps at odd depth, which
+        # needs every pick below its step: at the largest uniform, step j
+        # picks j - 1, so a tile without innovations is one path
+        n = 2**20 + 1
+        top = 1.0 - 2.0**-53
+        innov, picks, root, odd = walk_engine._tile(FixedUniforms(np.full((1, 2, n), top)),
+                                                   n, 0.0, 1)
+        step = np.arange(n)
+        assert (picks[0, 1:] < step[1:]).all()
+        assert not root.any()
+        assert (odd[0] == (step % 2 == 1)).all()
+        # the same product for steps near 2**53, the last exact float64 integers
+        j = np.array([2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.int64)
+        assert ((top * j).astype(np.int64) < j).all()
 
 
 class TestSimulate:
