@@ -287,32 +287,35 @@ def c11_singleton_fluctuations(seed: int, fast: bool = False) -> list[CheckRepor
 _MOMENT_PAIRS = ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(1)), (Fraction(1), Fraction(2)))
 
 
+_C12_PS = (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4))
+_C12_HEAD = 12
+
+
 def c12_variance_decomposition(seed: int, fast: bool = False) -> list[CheckReport]:
     """Component variances resum to the Gaussian limit variance, and the
-    second-moment closing identity holds, to 1e-3 relative at K = 10^4."""
-    kmax = 10_000
-    p = Fraction(1, 2)
-    max_rel_total = 0.0
-    max_rel_closing = 0.0
-    details: dict[str, dict[str, float]] = {}
-    for m1, m2 in _MOMENT_PAIRS:
-        series = asym.sigma_sq_series(p, m1, m2, kmax=kmax)
-        rel_total = abs(series["sigma_total"] - series["clt_variance"]) / series["clt_variance"]
-        rel_closing = abs(series["closing_lhs"] - series["closing_rhs"]) / series["closing_rhs"]
-        max_rel_total = max(max_rel_total, rel_total)
-        max_rel_closing = max(max_rel_closing, rel_closing)
-        details[f"m1={m1},m2={m2}"] = {
-            "sigma_total": series["sigma_total"],
-            "clt_variance": series["clt_variance"],
-            "closing_lhs": series["closing_lhs"],
-            "closing_rhs": series["closing_rhs"],
-            "tail_estimate": series["tail"],
-        }
+    second-moment closing identity holds, exactly: the first K = 12
+    components plus the telescoped remainder ``sum_{k>K} sigma_k^2``, a
+    multiple of ``sum_{k>K} k B(k, 1+rho)`` (`asymptotics.beta_remainders`)."""
+    max_rel_total = Fraction(0)
+    max_rel_closing = Fraction(0)
+    start = _C12_HEAD + 1
+    for p in _C12_PS:
+        _, k_tail = asym.beta_remainders(start, asym.beta_of_k(start, p), asym.rho_of(p))
+        for m1, m2 in _MOMENT_PAIRS:
+            sigma1 = asym.sigma_sq_k(1, p, m1, m2)
+            tail = p * m2 * k_tail / (3 * (1 - p))
+            rest = sum(asym.sigma_sq_k(k, p, m1, m2) for k in range(2, start)) + tail
+            clt = asym.clt_variance(p, m1, m2)
+            closing = m2 / (3 - 2 * p)
+            max_rel_total = max(max_rel_total, abs(sigma1 + rest - clt) / clt)
+            max_rel_closing = max(max_rel_closing, abs(p * m2 / (2 - p) + rest - closing) / closing)
+    checks = len(_C12_PS) * len(_MOMENT_PAIRS)
+    config = {"p": [str(p) for p in _C12_PS], "head_terms": _C12_HEAD}
     return [
-        make_report("c12_sigma_resummation", "relative_error", max_rel_total, 1e-3,
-                    kmax, seed, config={"p": "1/2", "kmax": kmax}, details=details),
-        make_report("c12_closing_identity", "relative_error", max_rel_closing, 1e-3,
-                    kmax, seed, config={"p": "1/2", "kmax": kmax}),
+        make_report("c12_sigma_resummation", "relative_error", float(max_rel_total), 0.0,
+                    checks, seed, config=config),
+        make_report("c12_closing_identity", "relative_error", float(max_rel_closing), 0.0,
+                    checks, seed, config=config),
     ]
 
 
@@ -362,8 +365,9 @@ _SMALL_SHAPES = ((), (1,), (1, 1), (1, 2))
 
 
 def c14_shape_frequencies(seed: int, fast: bool = False) -> list[CheckReport]:
-    """Per-shape frequencies for trees of size <= 3, plus the report-only
-    evaluation of the parity-weighted shape series."""
+    """Per-shape frequencies for trees of size <= 3 and the per-replica
+    parity rate ``sum_j delta(tree_j)^2 / n`` against their limits, plus the
+    exact closed form of the parity-weighted shape series."""
     n = 10_000 if fast else 100_000
     reps = 8 if fast else 32
     p = Fraction(1, 2)
@@ -387,27 +391,16 @@ def c14_shape_frequencies(seed: int, fast: bool = False) -> list[CheckReport]:
         )
 
     sws = asym.shape_weighted_sum(p, size_cap=9)
-    dsq = np.array(dsq_rates)
+    closed_form = (1 - p) / p * (1 + asym.delta_sq_rate(p))
     reports.append(
-        make_report(
-            "c14_shape_series_report", "relative_error", 0.0, math.inf, reps, seed,
-            config={"size_cap": sws.size_cap, "p": "1/2"},
-            details={
-                "truncated_sum": str(sws.truncated),
-                "truncated_sum_float": float(sws.truncated),
-                "tail_exact": str(sws.tail),
-                "series_total": str(sws.total),
-                "series_total_float": float(sws.total),
-                "candidate_simple": str(sws.candidate_simple),
-                "candidate_simple_float": float(sws.candidate_simple),
-                "candidate_grouped": str(sws.candidate_grouped),
-                "candidate_grouped_float": float(sws.candidate_grouped),
-                "note": "report only: the series value is computed, neither candidate is asserted",
-                "delta_sq_rate_empirical_mean": float(dsq.mean()),
-                "delta_sq_rate_empirical_sd": float(dsq.std(ddof=1) / math.sqrt(reps)),
-                "delta_sq_rate_predicted": float(asym.delta_sq_rate(p)),
-            },
-        )
+        make_report("c14_shape_series_identity", "relative_error",
+                    float(abs(sws.total - closed_form) / closed_form), 0.0, 1, seed,
+                    config={"size_cap": sws.size_cap, "p": "1/2"},
+                    details={"series_total": str(sws.total), "closed_form": str(closed_form)})
+    )
+    reports.append(
+        moment_check(dsq_rates, float(asym.delta_sq_rate(p)), band=3.0, name="c14_delta_sq_rate",
+                     seed=seed, config={"n": n, "reps": reps})
     )
     return reports
 

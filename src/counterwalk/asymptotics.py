@@ -1,10 +1,12 @@
 """Closed-form limit constants, series identities, and the stable exponent.
 
 All rational-input operations return exact `Fraction` values; the only
-floating point lives in the truncated series evaluators and the stable
-characteristic exponent.  Beta values are always computed through the
-rising-factorial product, never through gamma-function floats, so the
-identity checks in the test suite can demand exact equality.
+floating point lives in the float heads of `yule_simon_series` and
+`sigma_sq_series` and in the stable characteristic exponent.  Beta values
+are always computed through the rising-factorial product, never through
+gamma-function floats, and every Beta-weighted series closes with the
+telescoped remainder of `beta_remainders`, so the identity checks can
+demand exact equality.
 """
 
 from __future__ import annotations
@@ -67,6 +69,14 @@ def beta_of_k(k: int, p: Number) -> Fraction:
     p = _frac(p, "p")
     _check_open01(p)
     return Fraction(math.factorial(k - 1)) / rising_factorial(1 + rho_of(p), k)
+
+
+def beta_remainders(k: int, b_k: Number, rho: Number) -> tuple[Number, Number]:
+    """``(sum_{j>=k} B_j, sum_{j>=k} j B_j)`` for ``B_j = B(j, 1+rho)``, from
+    ``B_k`` alone: ``B_{j+1} = B_j j/(j+1+rho)`` telescopes both sums to
+    ``B_k (k+rho)/rho`` and ``k B_k (k+rho)/(rho-1)``.  Plain arithmetic, so
+    `Fraction` inputs give exact remainders and floats give float ones."""
+    return b_k * (k + rho) / rho, k * b_k * (k + rho) / (rho - 1)
 
 
 def velocity(p: Number, m1: Number) -> Fraction:
@@ -249,36 +259,29 @@ def stable_check_exponent(
 
 
 def yule_simon_series(p: Number, kmax: int = 10_000) -> dict[str, float]:
-    """Float partial sums of the Yule-Simon mass and mean with tail
-    estimates; the exact limits are 1 and ``1/p``."""
+    """Float partial sums of the Yule-Simon mass and mean over ``k <= kmax``
+    with their telescoped remainders; the exact limits are 1 and ``1/p``."""
     p = _frac(p, "p")
     _check_open01(p)
     rho = float(rho_of(p))
     b = 1.0 / (1.0 + rho)
     mass = 0.0
     mean = 0.0
-    last_mass = last_mean = 0.0
     for k in range(1, kmax + 1):
-        last_mass = rho * b
-        last_mean = k * rho * b
-        mass += last_mass
-        mean += last_mean
+        mass += rho * b
+        mean += k * rho * b
         b *= k / (k + 1.0 + rho)
-    # terms decay like k**-(1+rho) (mass) and k**-rho (mean)
-    return {
-        "mass": mass,
-        "mean": mean,
-        "mass_tail": last_mass * kmax / rho,
-        "mean_tail": last_mean * kmax / (rho - 1.0),
-    }
+    mass_tail, mean_tail = beta_remainders(max(kmax, 0) + 1, b, rho)
+    return {"mass": mass, "mean": mean, "mass_tail": rho * mass_tail, "mean_tail": rho * mean_tail}
 
 
 def sigma_sq_series(p: Number, m1: Number, m2: Number, kmax: int = 10_000) -> dict[str, float]:
     """Float check data for the two variance-decomposition identities.
 
-    ``sigma_total`` is ``sigma_1^2 + sum_{k<=kmax} sigma_k^2`` and should
-    match `clt_variance`; ``closing_lhs`` is ``p m2/(2-p) + sum sigma_k^2``
-    and should match ``m2 / (3 - 2p)``.
+    ``sigma_total`` is ``sigma_1^2 + sum_{3<=k<=kmax} sigma_k^2`` and,
+    plus ``tail`` (the telescoped remainder over ``k > max(kmax, 2)``),
+    should match `clt_variance`; ``closing_lhs`` is ``p m2/(2-p)`` plus the
+    same partial sum and, plus ``tail``, should match ``m2 / (3 - 2p)``.
     """
     p = _frac(p, "p")
     _check_open01(p)
@@ -286,22 +289,18 @@ def sigma_sq_series(p: Number, m1: Number, m2: Number, kmax: int = 10_000) -> di
     rho = float(rho_of(p))
     pf = float(p)
     coef = pf * m2f / (3.0 * (1.0 - pf))
-    b = 1.0 / (1.0 + rho)  # B(1)
-    b *= 1.0 / (2.0 + rho)  # B(2)
-    tail_sum = 0.0
-    last = 0.0
+    b = 2.0 / ((1.0 + rho) * (2.0 + rho) * (3.0 + rho))  # B(3)
+    head = 0.0
     for k in range(3, kmax + 1):
-        b *= (k - 1.0) / (k + rho)  # B(k) from B(k-1)
-        last = coef * k * b
-        tail_sum += last
+        head += coef * k * b
+        b *= k / (k + 1.0 + rho)  # B(k+1) from B(k)
     sigma1 = float(sigma_sq_k(1, p, m1, m2))
-    tail_est = last * kmax / (rho - 1.0)
     return {
-        "sigma_total": sigma1 + tail_sum,
+        "sigma_total": sigma1 + head,
         "clt_variance": float(clt_variance(p, m1, m2)),
-        "closing_lhs": pf * m2f / (2.0 - pf) + tail_sum,
+        "closing_lhs": pf * m2f / (2.0 - pf) + head,
         "closing_rhs": m2f / (3.0 - 2.0 * pf),
-        "tail": tail_est,
+        "tail": coef * beta_remainders(max(kmax, 2) + 1, b, rho)[1],
     }
 
 
@@ -313,18 +312,17 @@ class ShapeWeightedSum:
     The ``(k-1)!`` increasing trees of size ``k`` are equally likely, so
     the size-``k`` shell is ``B(k, 1+rho) (k + E(delta_k^2))``.
     ``truncated`` sums these shells up to ``size_cap`` with the exact
-    parity moments of `eulerian.delta_moment`; ``tail`` closes the
-    remainder in closed form (``E(delta_k^2) = k/3`` above the cap);
-    their sum is the exact value of the series.  Candidate closed forms
-    are reported side by side and deliberately not asserted anywhere.
+    parity moments of `eulerian.delta_moment`; above the cap
+    ``E(delta_k^2) = k/3``, so ``tail`` is ``4/3`` of the telescoped
+    remainder ``sum_{k>cap} k B_k``.  Their sum ``total`` is the exact
+    value of the series, ``((1-p)/p) (1 + delta_sq_rate(p))``, which c14
+    asserts.
     """
 
     size_cap: int
     truncated: Fraction
     tail: Fraction
     total: Fraction
-    candidate_simple: Fraction     # 4p / (3 (1-p))
-    candidate_grouped: Fraction    # (4/3)(1-p)/p + (2/3)(1-p)/(3-2p)
 
 
 def shape_weighted_sum(p: Number, size_cap: int = 9) -> ShapeWeightedSum:
@@ -332,19 +330,10 @@ def shape_weighted_sum(p: Number, size_cap: int = 9) -> ShapeWeightedSum:
     _check_open01(p)
     if size_cap < 3:
         raise ValueError("size_cap must be >= 3")
-    truncated = Fraction(0)
-    k_beta_partial = Fraction(0)
-    for k in range(1, size_cap + 1):
-        beta = beta_of_k(k, p)
-        truncated += beta * (k + delta_moment(k, 2))
-        k_beta_partial += k * beta
-    # above the cap the second parity moment is exactly k/3, so the
-    # remainder collapses to (4/3) * (remaining mean mass)
-    tail = Fraction(4, 3) * ((1 - p) / p - k_beta_partial)
-    total = truncated + tail
-    candidate_simple = 4 * p / (3 * (1 - p))
-    candidate_grouped = Fraction(4, 3) * (1 - p) / p + Fraction(2, 3) * (1 - p) / (3 - 2 * p)
-    return ShapeWeightedSum(size_cap, truncated, tail, total, candidate_simple, candidate_grouped)
+    truncated = sum(beta_of_k(k, p) * (k + delta_moment(k, 2)) for k in range(1, size_cap + 1))
+    _, k_tail = beta_remainders(size_cap + 1, beta_of_k(size_cap + 1, p), rho_of(p))
+    tail = Fraction(4, 3) * k_tail
+    return ShapeWeightedSum(size_cap, truncated, tail, truncated + tail)
 
 
 def delta_sq_rate(p: Number) -> Fraction:

@@ -61,8 +61,7 @@ class CheckReport:
     @property
     def margin(self) -> float:
         """``value / threshold``: below 1 passes.  An exact identity
-        (threshold 0) counts 0 when it holds and infinity when it fails; a
-        report-only entry (infinite threshold) counts 0."""
+        (threshold 0) counts 0 when it holds and infinity when it fails."""
         if self.threshold > 0:
             return self.value / self.threshold
         return 0.0 if self.value == 0 else math.inf

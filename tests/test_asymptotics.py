@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from counterwalk.asymptotics import (
     StableSpec,
     beta_of_k,
+    beta_remainders,
     clt_variance,
     delta_sq_rate,
     exact_mean,
@@ -106,9 +107,13 @@ class TestYuleSimon:
                 yule_simon_pmf(1, p)
 
     def test_series_identities(self):
-        series = yule_simon_series(HALF, kmax=10_000)
-        assert abs(series["mass"] - 1) <= 10 * series["mass_tail"] + 1e-7
-        assert abs(series["mean"] - 2) <= 10 * series["mean_tail"]
+        # head plus the telescoped remainder, from kmax = 0 (all remainder) on
+        for kmax in (0, 1, 2, 3, 10_000):
+            for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
+                series = yule_simon_series(p, kmax=kmax)
+                assert series["mass"] + series["mass_tail"] == pytest.approx(1, rel=0, abs=1e-12)
+                assert series["mean"] + series["mean_tail"] == pytest.approx(
+                    float(1 / p), rel=0, abs=1e-12)
 
     def test_partial_sums_monotone_bounded(self):
         total = Fraction(0)
@@ -117,6 +122,15 @@ class TestYuleSimon:
             total += yule_simon_pmf(k, Fraction(1, 3))
             assert prev < total <= 1
             prev = total
+
+    @given(rational_p, st.integers(min_value=1, max_value=40))
+    def test_beta_remainders_telescope(self, p, k):
+        rho = rho_of(p)
+        b = beta_of_k(k, p)
+        mass, mean = beta_remainders(k, b, rho)
+        next_mass, next_mean = beta_remainders(k + 1, beta_of_k(k + 1, p), rho)
+        assert (b + next_mass, k * b + next_mean) == (mass, mean)
+        assert beta_remainders(1, beta_of_k(1, p), rho) == (1 / rho, (1 - p) / p)
 
     @given(rational_p, st.integers(min_value=1, max_value=12))
     def test_beta_identity_with_rising_factorial(self, p, k):
@@ -146,12 +160,16 @@ class TestSigma:
                 sigma_sq_k(3, p, 1, 1)
 
     def test_resummation_identities(self):
-        for m1, m2 in ((1, 1), (0, 1), (1, 2)):
-            series = sigma_sq_series(HALF, m1, m2, kmax=5000)
-            clt = series["clt_variance"]
-            assert abs(series["sigma_total"] - clt) / clt <= 1e-3
-            rhs = series["closing_rhs"]
-            assert abs(series["closing_lhs"] - rhs) / rhs <= 1e-3
+        # the remainder starts at k = 3 however short the head
+        for kmax in (0, 1, 2, 3, 5000):
+            for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
+                for m1, m2 in ((1, 1), (0, 1), (1, 2)):
+                    series = sigma_sq_series(p, m1, m2, kmax=kmax)
+                    assert series["clt_variance"] == float(clt_variance(p, m1, m2))
+                    assert series["sigma_total"] + series["tail"] == pytest.approx(
+                        series["clt_variance"], rel=0, abs=1e-12)
+                    assert series["closing_lhs"] + series["tail"] == pytest.approx(
+                        series["closing_rhs"], rel=0, abs=1e-12)
 
     def test_first_component_plus_tail_structure(self):
         # sigma_1^2 alone underestimates the full variance
@@ -322,21 +340,19 @@ class TestParetoPhi1:
 
 class TestShapeSeries:
     def test_enumeration_matches_closed_form(self):
-        # the exact tail completion must reproduce the grouped closed form
-        for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
-            sws = shape_weighted_sum(p, size_cap=7)
-            assert sws.total == sws.candidate_grouped
+        # E delta_k^2 is 1, 0 and k/3 for k = 1, 2 and k >= 3, and
+        # B_1 - B_2 = (1-p)/(3-2p), so the total is
+        # (4/3)(1-p)/p + (2/3)(1-p)/(3-2p) = ((1-p)/p)(1 + delta_sq_rate(p))
+        for p in (Fraction(1, 7), Fraction(1, 4), HALF, Fraction(3, 4), Fraction(9, 10)):
+            for cap in (3, 7, 12):
+                total = shape_weighted_sum(p, size_cap=cap).total
+                assert total == Fraction(4, 3) * (1 - p) / p + Fraction(2, 3) * (1 - p) / (3 - 2 * p)
+                assert total == (1 - p) / p * (1 + delta_sq_rate(p))
 
     def test_pinned_half_at_the_gate_cap(self):
-        # exact literals for the series that c14 reports (size_cap = 9)
+        # exact literals for the series that c14 checks (size_cap = 9)
         sws = shape_weighted_sum(HALF, 9)
         assert (sws.truncated, sws.tail, sws.total) == (Fraction(83, 66), Fraction(8, 33), Fraction(3, 2))
-
-    def test_candidates_differ(self):
-        sws = shape_weighted_sum(HALF, size_cap=5)
-        assert sws.candidate_simple != sws.candidate_grouped
-        assert sws.candidate_simple == Fraction(4, 3)
-        assert sws.candidate_grouped == Fraction(3, 2)
 
     def test_delta_sq_rate_against_term_by_term_sum(self):
         p = HALF
