@@ -2,19 +2,20 @@
 
 All rational-input operations return exact `Fraction` values; the only
 floating point lives in the float heads of `yule_simon_series` and
-`sigma_sq_series` and in the stable characteristic exponent.  Beta values
-are always computed through the rising-factorial product, never through
-gamma-function floats, and every Beta-weighted series closes with the
-telescoped remainder of `beta_remainders`, so the identity checks can
-demand exact equality.
+`sigma_sq_series`, in the stable characteristic exponent and in
+`pareto_phi1`.  Every Beta-weighted series takes ``B_k = B(k, 1+rho)`` from
+one recurrence, `_betas` (`beta_of_k` looks up one ``B_k`` in closed form),
+never from gamma-function floats, and closes with the telescoped remainder
+of `beta_remainders`, so the identity checks can demand exact equality.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 from .eulerian import delta_moment, odd_count_pmf
 
@@ -28,17 +29,21 @@ def _frac(x: Number, name: str) -> Fraction:
         raise ValueError(f"{name} must be a rational number") from exc
 
 
-def _check_closed01(p: Fraction) -> None:
+def _closed01(p: Number) -> Fraction:
+    p = _frac(p, "p")
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
+    return p
 
 
-def _check_open01(p: Fraction, allow_one: bool = False) -> None:
+def _open01(p: Number, allow_one: bool = False) -> Fraction:
+    p = _frac(p, "p")
     if allow_one:
         if not 0 < p <= 1:
             raise ValueError("innovation probability must lie in (0, 1]")
     elif not 0 < p < 1:
         raise ValueError("innovation probability must lie strictly in (0, 1)")
+    return p
 
 
 def rho_of(p: Number) -> Fraction:
@@ -66,14 +71,22 @@ def beta_of_k(k: int, p: Number) -> Fraction:
     """``B(k, 1 + rho)`` as an exact rational: ``(k-1)! / (1+rho)^(rising k)``."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    p = _frac(p, "p")
-    _check_open01(p)
+    p = _open01(p)
     return Fraction(math.factorial(k - 1)) / rising_factorial(1 + rho_of(p), k)
+
+
+def _betas(rho: Number) -> Iterator[Number]:
+    """``B_k = B(k, 1+rho)`` for ``k = 1, 2, ...`` by plain arithmetic: exact
+    for a `Fraction` ``rho``, float for a float one."""
+    b = 1 / (1 + rho)
+    for k in itertools.count(1):
+        yield b
+        b *= k / (k + 1 + rho)
 
 
 def beta_remainders(k: int, b_k: Number, rho: Number) -> tuple[Number, Number]:
     """``(sum_{j>=k} B_j, sum_{j>=k} j B_j)`` for ``B_j = B(j, 1+rho)``, from
-    ``B_k`` alone: ``B_{j+1} = B_j j/(j+1+rho)`` telescopes both sums to
+    ``B_k`` alone: the step of `_betas` telescopes both sums to
     ``B_k (k+rho)/rho`` and ``k B_k (k+rho)/(rho-1)``.  Plain arithmetic, so
     `Fraction` inputs give exact remainders and floats give float ones."""
     return b_k * (k + rho) / rho, k * b_k * (k + rho) / (rho - 1)
@@ -81,8 +94,7 @@ def beta_remainders(k: int, b_k: Number, rho: Number) -> tuple[Number, Number]:
 
 def velocity(p: Number, m1: Number) -> Fraction:
     """Asymptotic speed ``p * m1 / (2 - p)`` of the counterbalanced walk."""
-    p = _frac(p, "p")
-    _check_closed01(p)
+    p = _closed01(p)
     return p * _frac(m1, "m1") / (2 - p)
 
 
@@ -91,8 +103,7 @@ def clt_variance(p: Number, m1: Number, m2: Number) -> Fraction:
     of the centered, sqrt(n)-scaled walk.  Defined for ``p`` in (0, 1]; the
     no-innovation regime has a different (non-Gaussian) limit and is
     rejected."""
-    p = _frac(p, "p")
-    _check_open01(p, allow_one=True)
+    p = _open01(p, allow_one=True)
     m1, m2 = _frac(m1, "m1"), _frac(m2, "m2")
     if m2 < m1 * m1:
         raise ValueError("m2 must be >= m1^2")
@@ -103,8 +114,7 @@ def clt_variance(p: Number, m1: Number, m2: Number) -> Fraction:
 def nu1_clt_variance(p: Number) -> Fraction:
     """Variance ``(2p^3 - 8p^2 + 6p) / ((3-2p)(2-p)^2)`` of the Gaussian
     fluctuations of the singleton-tree count."""
-    p = _frac(p, "p")
-    _check_open01(p, allow_one=True)
+    p = _open01(p, allow_one=True)
     return (2 * p**3 - 8 * p**2 + 6 * p) / ((3 - 2 * p) * (2 - p) ** 2)
 
 
@@ -112,8 +122,7 @@ def yule_simon_pmf(k: int, p: Number) -> Fraction:
     """Yule-Simon mass ``rho * B(k, 1 + rho)`` with ``rho = 1/(1-p)``: the
     limit frequency (relative to the innovation count) of trees of size
     ``k`` in the genealogical forest."""
-    p = _frac(p, "p")
-    _check_open01(p)
+    p = _open01(p)
     return rho_of(p) * beta_of_k(k, p)
 
 
@@ -121,16 +130,17 @@ def sigma_sq_k(k: int, p: Number, m1: Number, m2: Number) -> Fraction:
     """Component variances of the occurrence-count decomposition:
     size-1 trees carry the drift correction, size-2 trees contribute
     nothing, and size ``k >= 3`` contributes ``k p m2 B(k,1+rho)/(3(1-p))``."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    p = _frac(p, "p")
-    _check_open01(p)
-    m1, m2 = _frac(m1, "m1"), _frac(m2, "m2")
+    b_k = beta_of_k(k, p)  # checks k and p
+    return _sigma_sq(k, _frac(p, "p"), _frac(m1, "m1"), _frac(m2, "m2"), b_k)
+
+
+def _sigma_sq(k: int, p: Fraction, m1: Fraction, m2: Fraction, b_k: Fraction) -> Fraction:
+    """`sigma_sq_k` on checked inputs, given ``B_k = B(k, 1+rho)``."""
     if k == 1:
         return p * m2 / (2 - p) - p**2 * m1**2 / ((3 - 2 * p) * (2 - p) ** 2)
     if k == 2:
         return Fraction(0)
-    return k * p * m2 * beta_of_k(k, p) / (3 * (1 - p))
+    return k * p * m2 * b_k / (3 * (1 - p))
 
 
 def exact_mean(n: int, p: Number, m1: Number) -> Fraction:
@@ -143,8 +153,7 @@ def exact_mean(n: int, p: Number, m1: Number) -> Fraction:
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    p = _frac(p, "p")
-    _check_closed01(p)
+    p = _closed01(p)
     m1 = _frac(m1, "m1")
     a, b = p.numerator, p.denominator
     num = 1
@@ -161,8 +170,7 @@ def tree_freq_limit(size: int, p: Number) -> Fraction:
     with ``size`` vertices: ``p / ((1-p) (1+rho)^(rising size))``."""
     if size < 1:
         raise ValueError("tree size must be >= 1")
-    p = _frac(p, "p")
-    _check_open01(p)
+    p = _open01(p)
     return p / ((1 - p) * rising_factorial(1 + rho_of(p), size))
 
 
@@ -231,15 +239,13 @@ def stable_check_exponent(
         raise ValueError("kmax must be >= 1")
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
-    p = _frac(p, "p")
-    _check_open01(p)
+    p = _open01(p)
     rho = float(rho_of(p))
     prefac = float(p / (1 - p))
 
     total = 0.0
     recent: list[float] = []
-    b = 1.0 / (1.0 + rho)  # B(1, 1+rho), then recursively B(k+1) = B(k) * k/(k+1+rho)
-    for k in range(1, kmax + 1):
+    for k, b in zip(range(1, kmax + 1), _betas(rho)):
         pmf = odd_count_pmf(k)
         mean_phi = sum(w / pmf.denom * spec.phi((k - 2 * ell) * theta)
                        for ell, w in zip(pmf.values, pmf.weights))
@@ -248,7 +254,6 @@ def stable_check_exponent(
         recent.append(abs(shell))
         if len(recent) > 5:
             recent.pop(0)
-        b *= k / (k + 1.0 + rho)
 
     scaled = max(
         (s * (k_ / kmax) ** rho for s, k_ in zip(recent, range(kmax - len(recent) + 1, kmax + 1))),
@@ -261,17 +266,15 @@ def stable_check_exponent(
 def yule_simon_series(p: Number, kmax: int = 10_000) -> dict[str, float]:
     """Float partial sums of the Yule-Simon mass and mean over ``k <= kmax``
     with their telescoped remainders; the exact limits are 1 and ``1/p``."""
-    p = _frac(p, "p")
-    _check_open01(p)
+    p = _open01(p)
     rho = float(rho_of(p))
-    b = 1.0 / (1.0 + rho)
+    betas = _betas(rho)
     mass = 0.0
     mean = 0.0
-    for k in range(1, kmax + 1):
+    for k, b in zip(range(1, kmax + 1), betas):
         mass += rho * b
         mean += k * rho * b
-        b *= k / (k + 1.0 + rho)
-    mass_tail, mean_tail = beta_remainders(max(kmax, 0) + 1, b, rho)
+    mass_tail, mean_tail = beta_remainders(max(kmax, 0) + 1, next(betas), rho)
     return {"mass": mass, "mean": mean, "mass_tail": rho * mass_tail, "mean_tail": rho * mean_tail}
 
 
@@ -283,24 +286,22 @@ def sigma_sq_series(p: Number, m1: Number, m2: Number, kmax: int = 10_000) -> di
     should match `clt_variance`; ``closing_lhs`` is ``p m2/(2-p)`` plus the
     same partial sum and, plus ``tail``, should match ``m2 / (3 - 2p)``.
     """
-    p = _frac(p, "p")
-    _check_open01(p)
+    p = _open01(p)
     m1f, m2f = float(_frac(m1, "m1")), float(_frac(m2, "m2"))
     rho = float(rho_of(p))
     pf = float(p)
     coef = pf * m2f / (3.0 * (1.0 - pf))
-    b = 2.0 / ((1.0 + rho) * (2.0 + rho) * (3.0 + rho))  # B(3)
+    betas = itertools.islice(_betas(rho), 2, None)  # from B_3
     head = 0.0
-    for k in range(3, kmax + 1):
+    for k, b in zip(range(3, kmax + 1), betas):
         head += coef * k * b
-        b *= k / (k + 1.0 + rho)  # B(k+1) from B(k)
     sigma1 = float(sigma_sq_k(1, p, m1, m2))
     return {
         "sigma_total": sigma1 + head,
         "clt_variance": float(clt_variance(p, m1, m2)),
         "closing_lhs": pf * m2f / (2.0 - pf) + head,
         "closing_rhs": m2f / (3.0 - 2.0 * pf),
-        "tail": coef * beta_remainders(max(kmax, 2) + 1, b, rho)[1],
+        "tail": coef * beta_remainders(max(kmax, 2) + 1, next(betas), rho)[1],
     }
 
 
@@ -326,12 +327,12 @@ class ShapeWeightedSum:
 
 
 def shape_weighted_sum(p: Number, size_cap: int = 9) -> ShapeWeightedSum:
-    p = _frac(p, "p")
-    _check_open01(p)
+    p = _open01(p)
     if size_cap < 3:
         raise ValueError("size_cap must be >= 3")
-    truncated = sum(beta_of_k(k, p) * (k + delta_moment(k, 2)) for k in range(1, size_cap + 1))
-    _, k_tail = beta_remainders(size_cap + 1, beta_of_k(size_cap + 1, p), rho_of(p))
+    betas = _betas(rho_of(p))
+    truncated = sum(b * (k + delta_moment(k, 2)) for k, b in zip(range(1, size_cap + 1), betas))
+    _, k_tail = beta_remainders(size_cap + 1, next(betas), rho_of(p))
     tail = Fraction(4, 3) * k_tail
     return ShapeWeightedSum(size_cap, truncated, tail, truncated + tail)
 
@@ -339,10 +340,8 @@ def shape_weighted_sum(p: Number, size_cap: int = 9) -> ShapeWeightedSum:
 def delta_sq_rate(p: Number) -> Fraction:
     """Limit of ``E(sum_j delta(tree_j)^2) / n`` using the exact small-size
     parity moments: ``(p/(1-p)) sum_k B(k,1+rho) E(delta_k^2)``."""
-    p = _frac(p, "p")
-    _check_open01(p)
-    b1 = beta_of_k(1, p)
-    b2 = beta_of_k(2, p)
+    p = _open01(p)
+    b1, b2 = itertools.islice(_betas(rho_of(p)), 2)
     series = Fraction(2, 3) * (b1 - b2) + (1 - p) / (3 * p)
     return p / (1 - p) * series
 
@@ -365,16 +364,16 @@ class LimitConstants:
 
 def limit_constants(p: Number, m1: Number | None, m2: Number | None, kmax: int = 8) -> LimitConstants:
     """Evaluate every available constant; ``p`` must lie in (0, 1]."""
-    p = _frac(p, "p")
-    _check_open01(p, allow_one=True)
+    p = _open01(p, allow_one=True)
     m1 = None if m1 is None else _frac(m1, "m1")
     m2 = None if m2 is None else _frac(m2, "m2")
     vel = None if m1 is None else velocity(p, m1)
     clt = None if (m1 is None or m2 is None) else clt_variance(p, m1, m2)
-    inside = p < 1
-    rho = rho_of(p) if inside else None
-    sigma = None
-    if inside and m1 is not None and m2 is not None:
-        sigma = {k: sigma_sq_k(k, p, m1, m2) for k in range(1, kmax + 1)}
-    ys = {k: yule_simon_pmf(k, p) for k in range(1, kmax + 1)} if inside else None
+    rho = sigma = ys = None
+    if p < 1:
+        rho = rho_of(p)
+        shells = list(zip(range(1, kmax + 1), _betas(rho)))
+        ys = {k: rho * b for k, b in shells}
+        if m1 is not None and m2 is not None:
+            sigma = {k: _sigma_sq(k, p, m1, m2, b) for k, b in shells}
     return LimitConstants(vel, clt, nu1_clt_variance(p), rho, sigma, ys)

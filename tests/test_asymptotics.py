@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from counterwalk.acceptance import _MOMENT_PAIRS
 from counterwalk.asymptotics import (
     StableSpec,
+    _betas,
     beta_of_k,
     beta_remainders,
     clt_variance,
@@ -132,10 +135,12 @@ class TestYuleSimon:
         assert (b + next_mass, k * b + next_mean) == (mass, mean)
         assert beta_remainders(1, beta_of_k(1, p), rho) == (1 / rho, (1 - p) / p)
 
-    @given(rational_p, st.integers(min_value=1, max_value=12))
+    @given(rational_p, st.integers(min_value=1, max_value=40))
     def test_beta_identity_with_rising_factorial(self, p, k):
         rho = rho_of(p)
         assert beta_of_k(k, p) * rising_factorial(1 + rho, k) == math.factorial(k - 1)
+        # the recurrence every Beta-weighted series reads, against the closed form
+        assert next(itertools.islice(_betas(rho), k - 1, None)) == beta_of_k(k, p)
 
 
 class TestRisingFactorial:
@@ -374,6 +379,13 @@ class TestLimitConstants:
         assert constants.rho == 2
         assert constants.sigma_sq[2] == 0
         assert constants.yule_simon[1] == Fraction(2, 3)
+
+    def test_one_pass_matches_per_size_lookups(self):
+        for p in (Fraction(1, 4), Fraction(2, 7), HALF, Fraction(3, 4), Fraction(99, 100)):
+            for m1, m2 in _MOMENT_PAIRS:
+                constants = limit_constants(p, m1, m2, kmax=40)
+                assert constants.sigma_sq == {k: sigma_sq_k(k, p, m1, m2) for k in range(1, 41)}
+                assert constants.yule_simon == {k: yule_simon_pmf(k, p) for k in range(1, 41)}
 
     def test_pure_innovation_point(self):
         constants = limit_constants(1, 0, 1)

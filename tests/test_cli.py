@@ -305,6 +305,27 @@ class TestLimitsCommand:
         assert out == ""
         assert err.startswith("error: ")
 
+    def test_long_table_matches_closed_form(self, capsys):
+        from counterwalk.asymptotics import yule_simon_pmf
+
+        code, out, _ = run_cli(capsys, "limits", "--p", "1/2", "--mu", "gauss:0,1", "--kmax", "800")
+        assert code == 0
+        rows = dict(line.split(",")[:2] for line in out.strip().splitlines()[2:])
+        assert rows["yule_simon_800"] == str(yule_simon_pmf(800, "1/2"))
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("--p", "1/2", "--mu", "gauss:0,1", "--kmax", "60"),
+         "28b02da12dd8ccc96c06274172ae77b60059c347f95658ff7f4d0e97ca23e53a"),
+        (("stable", "--alpha", "1.5", "--p", "1/2", "--theta", "0.7", "--kmax", "200"),
+         "d4323368088ff55317da092752389b94514972d798a7a1d0086718dfc530dec1"),
+    ])
+    def test_table_bytes_are_pinned(self, capsys, argv, digest):
+        # sha256 of stdout as printed when every constant had its own Beta
+        # lookup and the stable exponent stepped its Beta weights by hand
+        code, out, _ = run_cli(capsys, "limits", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     STABLE = ("--alpha", "1.5", "--p", "1/2", "--theta", "1.0")
 
     def test_stable_honors_out_given_before_stable(self, capsys, tmp_path):
