@@ -248,7 +248,7 @@ def c10_tree_size_frequencies(seed: int, fast: bool = False) -> list[CheckReport
     nus: list[dict[int, int]] = []
     for r in range(reps):
         run = simulate(n, p, law, child_seed(seed, 1000 + r))
-        nus.append(forest_census(run, shape_cap=1).nu)
+        nus.append(forest_census(run).nu)
     reports = []
     pn = float(p) * n
     for k in range(1, 6):
@@ -361,7 +361,8 @@ def c13_stable_limit(seed: int, fast: bool = False) -> list[CheckReport]:
     return reports
 
 
-_SMALL_SHAPES = ((), (1,), (1, 1), (1, 2))
+# (size, delta) of each shape: the cherry (1, 1) has two odd vertices, the path (1, 2) one
+_SMALL_SHAPES = {(): (1, 1), (1,): (2, 0), (1, 1): (3, -1), (1, 2): (3, 1)}
 
 
 def c14_shape_frequencies(seed: int, fast: bool = False) -> list[CheckReport]:
@@ -372,16 +373,15 @@ def c14_shape_frequencies(seed: int, fast: bool = False) -> list[CheckReport]:
     reps = 8 if fast else 32
     p = Fraction(1, 2)
     law = StepLaw.dirac(1)
-    shape_counts: list[dict[tuple[int, ...], int]] = []
+    shape_counts = np.empty((len(_SMALL_SHAPES), reps), dtype=np.int64)
     dsq_rates = []
     for r in range(reps):
-        run = simulate(n, p, law, child_seed(seed, 1400 + r))
-        census = forest_census(run, shape_cap=3)
-        shape_counts.append(census.nu_shape)
+        census = forest_census(simulate(n, p, law, child_seed(seed, 1400 + r)))
+        for i, (k, d) in enumerate(_SMALL_SHAPES.values()):
+            shape_counts[i, r] = ((census.occurrences == k) & (census.delta_per_tree == d)).sum()
         dsq_rates.append(int(census.delta_per_tree @ census.delta_per_tree) / n)
     reports = []
-    for shape in _SMALL_SHAPES:
-        samples = np.array([sc.get(shape, 0) / n for sc in shape_counts])
+    for shape, samples in zip(_SMALL_SHAPES, shape_counts / n):
         target = float(asym.tree_freq_limit(len(shape) + 1, p))
         label = "root" if not shape else "-".join(map(str, shape))
         reports.append(

@@ -30,7 +30,6 @@ import argparse
 import hashlib
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -59,29 +58,14 @@ class OutputError(CliError):
     exit_code = 4
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Canonical, hashable description of one CLI invocation."""
-
-    command: str
-    options: tuple[tuple[str, str], ...] = field(default=())
-
-    def canonical(self) -> str:
-        body = ",".join(f"{k}={v}" for k, v in sorted(self.options))
-        return f"{self.command}[{body}]"
-
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
-
-
-def _config(command: str, **options) -> ExperimentConfig:
-    opts = tuple((k, str(v)) for k, v in options.items() if v is not None)
-    return ExperimentConfig(command, opts)
-
-
-def _comment_line(config: ExperimentConfig, seed: int | None) -> str:
+def _comment_line(seed: int | None, command: str, /, **options) -> str:
+    """The comment line of a CSV output: package version, seed, and a hash
+    of the canonical ``command[k=v,...]`` (options sorted, ``None`` dropped).
+    ``seed`` is positional-only so that it can also be hashed as an option."""
+    body = ",".join(f"{k}={v}" for k, v in sorted(options.items()) if v is not None)
+    digest = hashlib.sha256(f"{command}[{body}]".encode()).hexdigest()[:12]
     seed_part = f" seed={seed}" if seed is not None else ""
-    return f"# counterwalk={__version__}{seed_part} config={config.digest()}"
+    return f"# counterwalk={__version__}{seed_part} config={digest}"
 
 
 def _emit(lines: list[str], out: str | None) -> None:
@@ -136,7 +120,7 @@ def _replica(n: int, p: Fraction, law, traj_every: int, task: tuple[int, int]):
 
     rep, seed = task
     run = simulate(n, p, law, seed)
-    nu1 = forest_census(run, shape_cap=1).nu.get(1, 0)
+    nu1 = forest_census(run).nu.get(1, 0)
     # trajectories never overflow first: float-law partial sums are floats
     # already, rademacher positions stay within n, and under dirac:C the
     # final reinforced position n*C bounds every earlier position
@@ -161,14 +145,14 @@ def _cmd_simulate(args) -> int:
         raise CliError("--reps must be >= 1")
     if args.traj_every < 0:
         raise CliError("--traj-every must be >= 0")
-    config = _config(
-        "simulate", n=args.n, p=p, mu=law.spec_string(), reps=args.reps,
+    comment = _comment_line(
+        args.seed, "simulate", n=args.n, p=p, mu=law.spec_string(), reps=args.reps,
         seed=args.seed, traj_every=args.traj_every,
     )
     replica = partial(_replica, args.n, p, law, args.traj_every)
     results = run_replicas(replica, [(r, child_seed(args.seed, r)) for r in range(args.reps)])
 
-    lines = ["rep,n,i_n,S_check,S_hat,nu1", _comment_line(config, args.seed)]
+    lines = ["rep,n,i_n,S_check,S_hat,nu1", comment]
     for summary, _ in results:
         rep, n, i_n, s_check, s_hat, nu1 = summary
         lines.append(f"{rep},{n},{i_n},{s_check!r},{s_hat!r},{nu1}")
@@ -188,24 +172,22 @@ def _cmd_exact(args) -> int:
     if args.n < 1:
         raise CliError("--n must be >= 1")
     if args.exact_mode == "odd-pmf":
-        config = _config("exact-odd-pmf", n=args.n)
         pmf = odd_count_pmf(args.n)
-        lines = ["ell,numerator,denominator", _comment_line(config, None)]
+        lines = ["ell,numerator,denominator", _comment_line(None, "exact-odd-pmf", n=args.n)]
     elif args.exact_mode == "delta-pmf":
-        config = _config("exact-delta-pmf", n=args.n)
         pmf = delta_pmf(args.n)
-        lines = ["delta,numerator,denominator", _comment_line(config, None)]
+        lines = ["delta,numerator,denominator", _comment_line(None, "exact-delta-pmf", n=args.n)]
     else:  # walk-oracle
         from .verify import brute_force_walk_pmf
 
         p = _parse_prob(args.p)
         law = _parse_law(args.mu)
-        config = _config("exact-walk-oracle", n=args.n, p=p, mu=law.spec_string())
         try:
             pmf = brute_force_walk_pmf(args.n, p, law)
         except ValueError as exc:  # horizon cap or a law off {+c, -c}
             raise CapError(str(exc)) from None
-        lines = ["value,numerator,denominator", _comment_line(config, None)]
+        comment = _comment_line(None, "exact-walk-oracle", n=args.n, p=p, mu=law.spec_string())
+        lines = ["value,numerator,denominator", comment]
     den = str(pmf.denom)  # one shared denominator: format it once per table
     lines.extend(f"{v},{num},{den}" for v, num in zip(pmf.values, pmf.weights))
     _emit(lines, args.out)
@@ -218,9 +200,8 @@ def _cmd_exact(args) -> int:
 def _cmd_table(args) -> int:
     if args.n < 0:
         raise CliError("--n must be >= 0")
-    config = _config("table-eulerian", n=args.n)
     row = eulerian_row(args.n)
-    lines = ["k,value", _comment_line(config, None)]
+    lines = ["k,value", _comment_line(None, "table-eulerian", n=args.n)]
     if args.n == 0:
         lines.append("-1,1")
     else:
@@ -244,8 +225,8 @@ def _cmd_sample(args) -> int:
         raise CliError("--n must be >= 1")
     if args.reps < 1:
         raise CliError("--reps must be >= 1")
-    config = _config("sample-rrt", n=args.n, reps=args.reps, seed=args.seed)
-    lines = ["rep,even,odd,delta", _comment_line(config, args.seed)]
+    comment = _comment_line(args.seed, "sample-rrt", n=args.n, reps=args.reps, seed=args.seed)
+    lines = ["rep,even,odd,delta", comment]
     for rep, odd in enumerate(sample_odd_counts(args.n, args.reps, args.seed).tolist()):
         even = args.n - odd
         lines.append(f"{rep},{even},{odd},{even - odd}")
@@ -269,8 +250,8 @@ def _cmd_limits(args) -> int:
     if kmax < 1:
         raise CliError("--kmax must be >= 1")
     constants = asym.limit_constants(p, law.m1, law.m2, kmax=kmax)
-    config = _config("limits", p=p, mu=law.spec_string(), kmax=kmax)
-    lines = ["quantity,exact,decimal", _comment_line(config, None)]
+    comment = _comment_line(None, "limits", p=p, mu=law.spec_string(), kmax=kmax)
+    lines = ["quantity,exact,decimal", comment]
 
     def add(name: str, value: Fraction | None) -> None:
         if value is not None:
@@ -309,13 +290,10 @@ def _cmd_limits_stable(args) -> int:
     spec = asym.StableSpec(args.alpha, args.phi1)
     with _float_range(f"the exponent at --theta {args.theta!r}"):
         value, tail = asym.stable_check_exponent(args.theta, p, spec, kmax=kmax)
-    config = _config(
-        "limits-stable", alpha=args.alpha, p=p, theta=args.theta,
-        kmax=kmax, phi1=args.phi1,
-    )
     lines = [
         "quantity,value",
-        _comment_line(config, None),
+        _comment_line(None, "limits-stable", alpha=args.alpha, p=p, theta=args.theta,
+                      kmax=kmax, phi1=args.phi1),
         f"value,{value!r}",
         f"tail_estimate,{tail!r}",
     ]

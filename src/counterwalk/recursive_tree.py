@@ -1,10 +1,9 @@
 """Random recursive / increasing trees: samplers of the odd-vertex count.
 
 A tree on vertices ``1..k`` is given by its parent sequence
-``(par(2), ..., par(k))`` with ``par(j) < j``; vertex 1 is the root.  That
-sequence *is* the canonical identity of an increasing tree, and
-`walk_engine.forest_census` keys its shape counts by it (vertices numbered
-by arrival inside each tree), so no isomorphism test ever runs.  The exact
+``(par(2), ..., par(k))`` with ``par(j) < j``; vertex 1 is the root.
+`walk_engine.forest_census` reads each tree only through its size and its
+even-minus-odd count, which tell the shapes of size <= 3 apart.  The exact
 parity laws of these trees live in `eulerian`.  Random trees are sampled
 as `walk_engine.forest` forests without innovations, in the draw layout of
 `walk_engine`.

@@ -426,16 +426,14 @@ def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
 class ForestCensus:
     """Occurrence statistics of the genealogical forest of one run.
 
-    ``occurrences[j-1]`` counts how often innovation ``j`` was used,
-    ``nu[k]`` counts trees of size ``k``, ``nu_shape`` counts trees of
-    size <= the ``shape_cap`` of `forest_census` keyed by their local
-    parent sequence, and ``delta_per_tree`` holds each tree's
-    even-minus-odd vertex count.
+    ``occurrences[j-1]`` counts how often innovation ``j`` was used (its
+    tree's size), ``nu[k]`` counts trees of size ``k``, and
+    ``delta_per_tree`` holds each tree's even-minus-odd vertex count.  The
+    increasing-tree shapes of size <= 3 are told apart by (size, delta).
     """
 
     occurrences: np.ndarray
     nu: dict[int, int]
-    nu_shape: dict[tuple[int, ...], int]
     delta_per_tree: np.ndarray
 
 
@@ -449,39 +447,18 @@ def _tree_stats(run: WalkRun) -> tuple[np.ndarray, np.ndarray]:
     return counts, counts - 2 * odd
 
 
-def forest_census(run: WalkRun, shape_cap: int = 6) -> ForestCensus:
-    """Cut innovation edges and census the resulting trees.
+def forest_census(run: WalkRun) -> ForestCensus:
+    """Cut innovation edges and census the resulting trees by size and
+    parity.
 
     Satisfies ``sum(k * nu[k]) == n`` and ``sum(nu.values()) == i(n)``.
-    Shapes are tracked only up to ``shape_cap`` vertices; larger trees
-    still contribute to ``nu`` and ``delta_per_tree``.  A tree's shape is
-    the sequence of its vertices' parents, numbered by arrival inside the
-    tree.
     """
     import numpy as np
 
     counts, deltas = _tree_stats(run)
     freq = np.bincount(counts)
     sizes = np.flatnonzero(freq)
-    nu = dict(zip(sizes.tolist(), freq[sizes].tolist()))
-    nu_shape: dict[tuple[int, ...], int] = {}
-    if shape_cap >= 1 and 1 in nu:
-        nu_shape[()] = nu[1]
-    big = [k for k in nu if 2 <= k <= shape_cap]
-    if big:
-        t = run.tree_id - 1
-        order = np.argsort(t, kind="stable")  # vertices grouped by tree, in step order
-        local = np.empty(run.n, dtype=np.int64)
-        local[order] = np.arange(1, run.n + 1) - np.repeat(np.cumsum(counts) - counts, counts)
-        size_of = counts[t[order]]
-        for k in big:
-            # the k-1 non-root vertices of each size-k tree are adjacent in `order`
-            members = order[(size_of == k) & ~run.eps[order]]
-            seqs, seq_freq = np.unique(local[run.v[members] - 1].reshape(-1, k - 1),
-                                       axis=0, return_counts=True)
-            for seq, c in zip(seqs.tolist(), seq_freq.tolist()):
-                nu_shape[tuple(seq)] = c
-    return ForestCensus(counts, nu, nu_shape, deltas)
+    return ForestCensus(counts, dict(zip(sizes.tolist(), freq[sizes].tolist())), deltas)
 
 
 def decompose(run: WalkRun) -> dict[int, Number]:
@@ -494,10 +471,11 @@ def decompose(run: WalkRun) -> dict[int, Number]:
     import numpy as np
 
     counts, deltas = _tree_stats(run)
+    freq = np.bincount(counts)
+    sizes = np.flatnonzero(freq)
     order = np.argsort(counts, kind="stable")
-    sizes, starts = np.unique(counts[order], return_index=True)
-    groups = np.split((deltas * run.x)[order], starts[1:])
-    return {int(k): _total(run.law, terms) for k, terms in zip(sizes, groups)}
+    groups = np.split((deltas * run.x)[order], np.cumsum(freq[sizes])[:-1])
+    return {k: _total(run.law, terms) for k, terms in zip(sizes.tolist(), groups)}
 
 
 def representation_residual(run: WalkRun) -> Number:

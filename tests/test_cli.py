@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import counterwalk
 import counterwalk.cli as cli
-from counterwalk.cli import ExperimentConfig, main
+from counterwalk.cli import _comment_line, main
 
 
 def run_cli(capsys, *argv):
@@ -405,11 +406,10 @@ class TestVerifyCommand:
 
 class TestExperimentConfig:
     def test_canonical_is_sorted_and_stable(self):
-        cfg = ExperimentConfig("simulate", (("n", "5"), ("p", "1/2")))
-        same = ExperimentConfig("simulate", (("p", "1/2"), ("n", "5")))
-        assert cfg.canonical() == same.canonical()
-        assert cfg.digest() == same.digest()
-        assert cfg.canonical() == "simulate[n=5,p=1/2]"
+        line = _comment_line(None, "simulate", n=5, p=Fraction(1, 2))
+        assert line == _comment_line(None, "simulate", p="1/2", n=5, mu=None)
+        # the hash of "simulate[n=5,p=1/2]"
+        assert line == f"# counterwalk={counterwalk.__version__} config=ed5aa3f626ae"
 
     def test_equivalent_spellings_hash_identically(self, capsys):
         _, out_a, _ = run_cli(capsys, "exact", "walk-oracle", "--n", "2", "--p", "0.5", "--mu", "dirac:1")

@@ -2,14 +2,16 @@
 
 The names are read from ``perfbench`` itself: the ``(module, attribute path)``
 of each ``tracer.LAYERS`` entry, the literal ``_patch`` targets in
-``tracer.py``, and every ``from counterwalk... import`` in its scripts.  A
-rename in ``src/`` that would make traced or workload runs fail then fails
-here first.  Nothing under ``perfbench/`` is changed.
+``tracer.py``, and every ``from counterwalk... import`` in its scripts; and
+every argument name a layer count reads must be a parameter of the function
+it wraps.  A rename in ``src/`` that would make traced or workload runs fail
+then fails here first.  Nothing under ``perfbench/`` is changed.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,15 @@ def test_hooks_cover_the_tracer_and_the_workloads():
                          ids=[".".join(filter(None, ("counterwalk", m, p))) for m, p in HOOKS])
 def test_benchmark_hook_resolves(module, path):
     _resolve(module, path)
+
+
+def test_tracer_counts_bind_to_parameters():
+    """Each layer count reads the wrapped call's bound arguments by parameter
+    name, so renaming such a parameter would break every traced call."""
+    names = set()
+    for _, module, path, _, count in _load_tracer().LAYERS:
+        if count is not None:
+            used = {c for c in count.__code__.co_consts if isinstance(c, str)}
+            assert used <= set(inspect.signature(_resolve(module, path)).parameters), path
+            names |= used
+    assert names == {"n", "reps", "size", "run"}

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from counterwalk import walk_engine
+from counterwalk.acceptance import _SMALL_SHAPES
 from counterwalk.eulerian import ExactPmf, delta_moment, odd_count_pmf
 from counterwalk.recursive_tree import sample_odd_counts, tanny_sample_batch
 from counterwalk.replication import child_seed
@@ -103,6 +104,13 @@ class TestEnumeration:
     def test_size_three_shapes(self):
         trees = enumerate_increasing_trees(3)
         assert [t.parents for t in trees] == [(1, 1), (1, 2)]
+
+    def test_size_and_parity_tell_small_shapes_apart(self):
+        # c14 counts each shape of size <= 3 as the trees of its (size, delta)
+        table = {t.parents: (t.size, parity_profile(t)[2])
+                 for k in range(1, 4) for t in enumerate_increasing_trees(k)}
+        assert len(set(table.values())) == len(table)
+        assert table == _SMALL_SHAPES
 
     def test_cap(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from counterwalk import walk_engine
-from counterwalk.eulerian import ExactPmf
+from counterwalk.acceptance import _SMALL_SHAPES
+from counterwalk.eulerian import ExactPmf, delta_pmf
 from counterwalk.replication import child_seed
 from counterwalk.verify import brute_force_walk_pmf, tv_distance
 from counterwalk.walk_engine import (
@@ -28,6 +30,19 @@ from counterwalk.walk_engine import (
     simulate,
     simulate_batch,
 )
+
+
+def parent_sequences(run):
+    """Each tree's parent sequence, its vertices numbered by arrival in the
+    tree, read off the run's picks one step at a time."""
+    local, seqs = [], {}
+    for innov, pick, tree in zip(run.eps.tolist(), run.v.tolist(), run.tree_id.tolist()):
+        seq = seqs.setdefault(tree, [])
+        if not innov:
+            seq.append(local[pick - 1])
+        local.append(len(seq) + 1)
+    return [tuple(seq) for seq in seqs.values()]
+
 
 ALL_LAWS = (
     StepLaw.rademacher(),
@@ -428,17 +443,11 @@ class TestForestCensus:
     @settings(max_examples=40, deadline=None)
     def test_counting_invariants(self, seed, p, n):
         run = simulate(n, p, StepLaw.rademacher(), seed)
-        census = forest_census(run, shape_cap=4)
+        census = forest_census(run)
         assert sum(k * cnt for k, cnt in census.nu.items()) == n
         assert sum(census.nu.values()) == run.innovations
         assert sum(census.occurrences) == n
         assert len(census.occurrences) == run.innovations
-        # shapes of size <= cap partition the size classes they cover
-        for k in range(1, 5):
-            shape_total = sum(
-                cnt for seq, cnt in census.nu_shape.items() if len(seq) + 1 == k
-            )
-            assert shape_total == census.nu.get(k, 0)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_size_census_matches_unique_counts(self, seed):
@@ -456,7 +465,7 @@ class TestForestCensus:
     def test_singleton_fraction_near_limit(self):
         n = 100_000
         run = simulate(n, Fraction(1, 2), StepLaw.dirac(1), 17)
-        census = forest_census(run, shape_cap=1)
+        census = forest_census(run)
         nu1 = census.nu.get(1, 0)
         # crude Poisson-scale band around n/3
         assert abs(nu1 - n / 3) <= 4 * math.sqrt(n / 3)
@@ -467,12 +476,34 @@ class TestForestCensus:
         from scipy.stats import chisquare
 
         run = simulate(100_000, Fraction(1, 2), StepLaw.dirac(1), 4242)
-        census = forest_census(run, shape_cap=4)
+        shapes = Counter(parent_sequences(run))
         for k in (3, 4):
-            counts = [cnt for seq, cnt in census.nu_shape.items() if len(seq) + 1 == k]
+            counts = [cnt for seq, cnt in shapes.items() if len(seq) + 1 == k]
             assert len(counts) == math.factorial(k - 1)
             _, pvalue = chisquare(counts)
             assert pvalue > 1e-3
+
+    def test_small_shape_table_counts_shapes(self):
+        # c14 counts each shape of size <= 3 as the trees of its (size, delta)
+        run = simulate(20_000, Fraction(1, 2), StepLaw.dirac(1), 99)
+        census = forest_census(run)
+        shapes = Counter(parent_sequences(run))
+        for shape, (k, d) in _SMALL_SHAPES.items():
+            count = ((census.occurrences == k) & (census.delta_per_tree == d)).sum()
+            assert count == shapes[shape] > 0
+
+    def test_tree_parity_follows_the_eulerian_law(self):
+        # given its size k, a tree's delta has the law of a uniform increasing
+        # tree of size k; each value's count lies within 4 sd of its mean
+        run = simulate(200_000, Fraction(1, 2), StepLaw.dirac(1), 2718)
+        census = forest_census(run)
+        for k in range(1, 7):
+            deltas = census.delta_per_tree[census.occurrences == k]
+            law = delta_pmf(k)
+            assert set(deltas.tolist()) <= set(law.values)
+            for d, q in zip(law.values, map(float, law.probs)):
+                mean = deltas.size * q
+                assert abs(int((deltas == d).sum()) - mean) <= 4 * math.sqrt(mean * (1 - q))
 
 
 class TestDecompose:
