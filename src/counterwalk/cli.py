@@ -26,24 +26,19 @@ output I/O errors.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import partial
 
 from . import __version__
 
-# Only the exact layer and the replica scheduler, neither of which loads
-# numpy, are imported here; every other handler imports its own layers when
-# called.  So `exact odd-pmf`, `exact delta-pmf`, `table eulerian`, `limits
-# stable` (whose asymptotics read only the exact layer), `exact walk-oracle`
-# and `limits` (whose step laws and oracle import numpy only where they draw
-# or reduce) never load numpy, and a `simulate` process never loads the
-# acceptance suite, the verifier or the asymptotics.
-from .eulerian import delta_pmf, eulerian_row, odd_count_pmf
-from .replication import child_seed, run_replicas
+# Start-up loads only this dispatcher (`site` has loaded `contextlib` and
+# `functools` already); `build_parser` adds `argparse`, and every handler
+# imports its own layers and stdlib modules when called.  So `--help` and
+# usage errors load no layer, `exact`, `table` and `limits` (stable too)
+# never load numpy, and `simulate`, which adds `replication` and
+# `walk_engine`, never loads the acceptance suite, the verifier or the
+# asymptotics.
 
 
 class CliError(Exception):
@@ -62,6 +57,8 @@ def _comment_line(seed: int | None, command: str, /, **options) -> str:
     """The comment line of a CSV output: package version, seed, and a hash
     of the canonical ``command[k=v,...]`` (options sorted, ``None`` dropped).
     ``seed`` is positional-only so that it can also be hashed as an option."""
+    import hashlib
+
     body = ",".join(f"{k}={v}" for k, v in sorted(options.items()) if v is not None)
     digest = hashlib.sha256(f"{command}[{body}]".encode()).hexdigest()[:12]
     seed_part = f" seed={seed}" if seed is not None else ""
@@ -81,6 +78,8 @@ def _emit(lines: list[str], out: str | None) -> None:
 
 
 def _parse_fraction(text: str, name: str) -> Fraction:
+    from fractions import Fraction
+
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError):
@@ -137,6 +136,8 @@ def _replica(n: int, p: Fraction, law, traj_every: int, task: tuple[int, int]):
 
 
 def _cmd_simulate(args) -> int:
+    from .replication import child_seed, run_replicas
+
     p = _parse_prob(args.p)
     law = _parse_law(args.mu)
     if args.n < 1:
@@ -169,6 +170,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_exact(args) -> int:
+    from .eulerian import delta_pmf, odd_count_pmf
+
     if args.n < 1:
         raise CliError("--n must be >= 1")
     if args.exact_mode == "odd-pmf":
@@ -198,6 +201,8 @@ def _cmd_exact(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .eulerian import eulerian_row
+
     if args.n < 0:
         raise CliError("--n must be >= 0")
     row = eulerian_row(args.n)
@@ -284,6 +289,8 @@ def _cmd_limits_stable(args) -> int:
         raise CliError("the stable exponent needs p strictly inside (0, 1)")
     if not 0 < args.alpha < 2:
         raise CliError("--alpha must lie in (0, 2)")
+    if not 0 < args.phi1 < float("inf"):
+        raise CliError("--phi1 must be finite and > 0")
     kmax = 50 if args.kmax is None else args.kmax
     if kmax < 1:
         raise CliError("--kmax must be >= 1")
@@ -348,6 +355,8 @@ def _peak_rss_mb() -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="counterwalk",
         description="Simulation and exact verification of random walks with counterbalanced steps.",

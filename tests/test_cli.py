@@ -297,7 +297,7 @@ class TestLimitsCommand:
         assert code == 2
 
     @pytest.mark.parametrize("flag,value", [
-        ("--phi1", "-1"), ("--phi1", "nan"), ("--phi1", "inf"), ("--theta", "nan"),
+        ("--phi1", "0"), ("--phi1", "-1"), ("--phi1", "nan"), ("--phi1", "inf"), ("--theta", "nan"),
     ])
     def test_stable_rejects_bad_phi1_and_theta(self, capsys, flag, value):
         args = {"--alpha": "1.5", "--p": "1/2", "--theta": "1.0", flag: value}
@@ -305,6 +305,8 @@ class TestLimitsCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+        if flag == "--phi1":
+            assert "--phi1" in err
 
     def test_long_table_matches_closed_form(self, capsys):
         from counterwalk.asymptotics import yule_simon_pmf
@@ -439,10 +441,47 @@ def test_peak_rss_counts_this_process_only():
 
 
 def test_cli_import_loads_neither_scipy_nor_a_process_pool():
-    # start-up cost of every command: scipy is imported only by the checks
-    # that need it, and replicas run in-process
-    probe = "import sys, counterwalk.cli; print(sorted(m for m in ('scipy', 'concurrent.futures') if m in sys.modules))"
+    # start-up cost of every command: the dispatcher imports no layer and no
+    # stdlib module a handler may not need, scipy is imported only by the
+    # checks that need it, and replicas run in-process
+    lazy = ("scipy", "concurrent.futures", "argparse", "hashlib", "fractions", "decimal",
+            "dataclasses", "inspect", "numpy")
+    probe = (f"import sys, counterwalk.cli; print(sorted(m for m in sys.modules if m in {lazy!r} "
+             "or m.startswith('counterwalk.') and m != 'counterwalk.cli'))")
     assert run_python("-c", probe).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--help"], 0), (["exact", "bogus"], 2), (["simulate", "--n", "5"], 2),
+], ids=["help", "bad-mode", "missing-option"])
+def test_help_and_usage_errors_load_no_layer(argv, code):
+    done = run_python("-X", "importtime", "-m", "counterwalk", *argv)
+    assert done.returncode == code
+    loaded = {line.rpartition("|")[2].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "argparse" in loaded
+    assert sorted(m for m in loaded if m.startswith("counterwalk.") or m == "numpy") == ["counterwalk.cli"]
+
+
+def _traced_run(tmp_path, *argv):
+    spans_path = tmp_path / "spans.json"
+    tracer = os.path.join(os.path.dirname(SRC), "perfbench", "tracer.py")
+    done = run_python(tracer, str(spans_path), "-m", "counterwalk", *argv, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return json.loads(spans_path.read_text())
+
+
+def test_traced_runs_see_the_layers_handlers_import(tmp_path):
+    # the benchmark's tracer wraps each layer in its own module before the
+    # entry point runs, so handlers that import their layers when called
+    # must still reach the wrappers
+    n, reps = 300, 3
+    trace = _traced_run(tmp_path, "simulate", "--n", str(n), "--p", "1/2", "--mu", "dirac:1",
+                        "--reps", str(reps), "--traj-every", "100")
+    assert trace["counts"]["walk_engine.simulate.steps"] == n * reps
+    assert [s[0] for s in trace["spans"]].count("replication.run_replicas") == 1
+    trace = _traced_run(tmp_path, "exact", "delta-pmf", "--n", "12")
+    assert "eulerian" in {s[0] for s in trace["spans"]}
 
 
 def test_cli_import_and_exact_commands_load_no_numpy():
