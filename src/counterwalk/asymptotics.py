@@ -233,7 +233,9 @@ def stable_check_exponent(
     Sums, over tree sizes ``k <= kmax``, the expected exponent of
     ``theta * (k - 2 * Odd)`` under the exact parity law of size ``k``,
     weighted by ``(p/(1-p)) B(k, 1+rho)``.  Returns the partial sum and a
-    tail estimate from the ``k**(-rho)`` decay of the shell terms.
+    bound on the rest: ``E|delta_k|^alpha <= (k/3)^(alpha/2)`` for ``k >= 3``
+    (Jensen, ``E delta_k^2 = k/3``), so the shells past ``K = kmax`` add up to at
+    most ``phi(theta) p/(1-p) 3^(-alpha/2) (K+1)^(alpha/2-1) sum_{k>K} k B_k``.
     """
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
@@ -244,22 +246,16 @@ def stable_check_exponent(
     prefac = float(p / (1 - p))
 
     total = 0.0
-    recent: list[float] = []
-    for k, b in zip(range(1, kmax + 1), _betas(rho)):
+    betas = _betas(rho)
+    for k, b in zip(range(1, kmax + 1), betas):
         pmf = odd_count_pmf(k)
         mean_phi = sum(w / pmf.denom * spec.phi((k - 2 * ell) * theta)
                        for ell, w in zip(pmf.values, pmf.weights))
-        shell = prefac * b * mean_phi
-        total += shell
-        recent.append(abs(shell))
-        if len(recent) > 5:
-            recent.pop(0)
+        total += prefac * b * mean_phi
 
-    scaled = max(
-        (s * (k_ / kmax) ** rho for s, k_ in zip(recent, range(kmax - len(recent) + 1, kmax + 1))),
-        default=0.0,
-    )
-    tail = scaled * kmax / (rho - 1.0)
+    half = spec.alpha / 2.0
+    _, mean_tail = beta_remainders(kmax + 1, next(betas), rho)
+    tail = spec.phi(theta) * prefac * 3.0 ** -half * (kmax + 1) ** (half - 1.0) * mean_tail
     return total, tail
 
 

@@ -125,7 +125,8 @@ class StepLaw:
         step, rounded to float, times `sample_units`).  Draws are consumed
         one step at a time, so calls of sizes ``k`` and ``m`` in turn give
         the draws of one call of size ``k + m`` from the same generator
-        state; the first ``k`` draws are ``sample_batch(rng, k)``."""
+        state; the first ``k`` draws are ``sample_batch(rng, k)``.  A draw
+        beyond the float range raises `OverflowError`."""
         import numpy as np
 
         if self.exact:
@@ -138,7 +139,10 @@ class StepLaw:
         # one (magnitude, sign) uniform pair per step
         u = rng.random((size, 2))
         x = np.subtract(1.0, u[:, 0])
-        x **= -1.0 / float(self.params[0])
+        with np.errstate(over="ignore"):
+            x **= -1.0 / float(self.params[0])
+        if x.max(initial=1.0) == math.inf:
+            raise OverflowError(f"a {self.spec_string()} step draw")
         # x >= 1 takes the sign of u - 1/2: exact, + at 1/2, shifted in place
         u[:, 1] -= 0.5
         return np.copysign(x, u[:, 1], out=x)
@@ -246,7 +250,7 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
 
 def _tile(rng: np.random.Generator, n: int, p: float, w: int) -> tuple:
     """The next ``w`` replicas of a block whose uniforms ``rng`` draws:
-    returns ``(innov, picks, root, odd)``, each of shape ``(w, n)``."""
+    returns ``(innov, root, odd)``, each of shape ``(w, n)``."""
     import numpy as np
 
     u = rng.random((w, 2, n))
@@ -255,7 +259,7 @@ def _tile(rng: np.random.Generator, n: int, p: float, w: int) -> tuple:
     picks = (u[:, 1] * np.arange(n)).astype(np.int64)
     # `u` lives through `forest`: freed before it, its pages were faulted in anew each block
     root, odd = forest(innov, picks)
-    return innov, picks, root, odd
+    return innov, root, odd
 
 
 def _tiles(seed: int, n: int, p: float, reps: int) -> Iterator[tuple]:
@@ -269,50 +273,51 @@ def _tiles(seed: int, n: int, p: float, reps: int) -> Iterator[tuple]:
         rng, steps = _streams(child_seed(seed, b))
         end = min(block + width, reps)
         for start in range(block, end, tile):
-            innov, _, root, odd = _tile(rng, n, p, min(tile, end - start))
+            innov, root, odd = _tile(rng, n, p, min(tile, end - start))
             yield start, innov, root, odd, steps
 
 
-def _total(law: StepLaw, a: np.ndarray) -> Number:
-    """Sum of an array of step values: exact for lattice laws (``a`` counts
-    lattice steps); for float laws correctly rounded (the value `math.fsum`
-    returns), by exact integer binning (`_float_total`)."""
+def _total(law: StepLaw, a: np.ndarray, weights: np.ndarray) -> Number:
+    """``sum(weights * a)`` for integer ``weights``: exact for lattice laws
+    (``a`` counts lattice steps); for float laws correctly rounded (the value
+    `math.fsum` returns), by exact integer binning (`_float_total`)."""
     if law.exact:
-        return _as_exact(law.lattice_step * int(a.sum()))
-    return _float_total(a)
+        return _as_exact(law.lattice_step * int(a @ weights))
+    return _float_total(a, weights)
 
 
-def _float_total(a: np.ndarray) -> float:
-    """Correctly rounded sum of a float64 array, without one Python float
-    per value (binned exact summation, as in Neal 2015, arXiv:1505.05571).
+def _float_total(a: np.ndarray, weights: np.ndarray) -> float:
+    """Correctly rounded ``sum(weights * a)`` of a float64 array and integer
+    weights, without one Python float per value (binned exact summation, as
+    in Neal 2015, arXiv:1505.05571).
 
     ``frexp`` writes each value as ``f * 2**e`` with ``0.5 <= |f| < 1``
     (subnormals included), so ``f * 2**53`` is an integer; it is cut into
-    signed pieces of 17, 18 and 18 bits, and each piece is summed into the
-    bin of ``e`` with `np.bincount`.  A bin's float64 sum stays exact while
-    it holds fewer than 2**35 values, so for any input under 256 GiB.  The
-    bins are then combined in Python integers and divided once, correctly
-    rounded.  Equals `math.fsum` wherever that returns a value;
-    an exact sum beyond the float range raises `OverflowError`, and a
+    signed pieces of 17, 18 and 18 bits, each piece times its weight is
+    summed into the bin of ``e`` with `np.bincount`.  A bin's float64 sum
+    stays exact while ``sum(|weights|)`` stays below 2**35.  The bins are
+    then combined in Python integers and divided once, correctly rounded.
+    Equals `math.fsum` of the products wherever that returns a value; an
+    exact sum beyond the float range raises `OverflowError`, and a
     non-finite input gets exactly `math.fsum`'s value or error.
     """
     import numpy as np
 
     if not np.isfinite(a).all():
-        return math.fsum(a.tolist())
+        return math.fsum((a * weights).tolist())
     frac, exp = np.frexp(a)
     key = exp.astype(np.intp)
     key += 1073  # frexp exponents of finite doubles lie in -1073..1024
     frac *= 2.0 ** 17
     piece = np.trunc(frac)
-    hi = np.bincount(key, weights=piece)
+    hi = np.bincount(key, weights=piece * weights)
     frac -= piece
     frac *= 2.0 ** 18
     np.trunc(frac, out=piece)
-    mid = np.bincount(key, weights=piece)
+    mid = np.bincount(key, weights=piece * weights)
     frac -= piece
     frac *= 2.0 ** 18
-    lo = np.bincount(key, weights=frac)
+    lo = np.bincount(key, weights=frac * weights)
     used = np.flatnonzero((hi != 0) | (mid != 0) | (lo != 0))
     total = 0
     for k, h, m, low in zip(used.tolist(), hi[used].tolist(), mid[used].tolist(), lo[used].tolist()):
@@ -340,12 +345,13 @@ class WalkRun:
     """One realization of the coupled pair of walks.
 
     Per-step arrays are indexed by step: entry ``m-1`` belongs to step ``m``.
-    ``eps`` marks innovations, ``v`` holds each counterbalancing step's pick
-    ``u`` in ``1..m-1`` (0 on innovation steps), ``x`` holds one fresh draw
-    per innovation, and ``(tree_id, parity)`` is the genealogical forest:
-    the founding innovation's index (1-based) and the depth parity (True =
-    odd) of every vertex.  For lattice laws ``x`` and the derived step and
-    sum arrays count lattice steps of ``law.lattice_step`` (int64); for
+    ``eps`` marks innovations, ``x`` holds one fresh draw per innovation,
+    and ``(tree, parity)`` is the genealogical forest: the 0-based index of
+    the founding innovation (into ``x``) and the depth parity (True = odd)
+    of every vertex.  The finals are weighted sums over trees, read from
+    `trees`: ``final_check = sum delta(tree) * draw`` and ``final_hat =
+    sum size(tree) * draw``.  For lattice laws ``x`` and the derived step
+    and sum arrays count lattice steps of ``law.lattice_step`` (int64); for
     float laws they hold float64 values.  `as_float` turns either into
     values.
     """
@@ -353,10 +359,19 @@ class WalkRun:
     n: int
     law: StepLaw
     eps: np.ndarray
-    v: np.ndarray
     x: np.ndarray
-    tree_id: np.ndarray
+    tree: np.ndarray
     parity: np.ndarray
+
+    @cached_property
+    def trees(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-tree ``(size, delta)``, in innovation order: the vertex count
+        and the even-minus-odd vertex count (computed once per run)."""
+        import numpy as np
+
+        size = np.bincount(self.tree, minlength=self.innovations)
+        odd = np.bincount(self.tree, weights=self.parity, minlength=self.innovations)
+        return size, size - 2 * odd.astype(np.int64)
 
     @cached_property
     def x_check(self) -> np.ndarray:
@@ -364,7 +379,7 @@ class WalkRun:
         (computed once per run)."""
         import numpy as np
 
-        base = self.x[self.tree_id - 1]
+        base = self.x[self.tree]
         return np.where(self.parity, -base, base)
 
     @property
@@ -375,15 +390,15 @@ class WalkRun:
     @property
     def s_hat(self) -> np.ndarray:
         """Partial sums of the reinforced walk."""
-        return _running_sum(self.x[self.tree_id - 1])
+        return _running_sum(self.x[self.tree])
 
     @property
     def final_check(self) -> Number:
-        return _total(self.law, self.x_check)
+        return _total(self.law, self.x, self.trees[1])
 
     @property
     def final_hat(self) -> Number:
-        return _total(self.law, self.x[self.tree_id - 1])
+        return _total(self.law, self.x, self.trees[0])
 
     @property
     def innovations(self) -> int:
@@ -414,20 +429,19 @@ def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
     rng, steps = _streams(seed)
-    (eps,), (picks,), (root,), (odd,) = _tile(rng, n, float(p), 1)
+    (eps,), (root,), (odd,) = _tile(rng, n, float(p), 1)
     i_n = int(eps.sum())
     x = law.sample_units(steps, i_n) if law.exact else law.sample_batch(steps, i_n)
-    tree_id = np.cumsum(eps)[root]
-    v = np.where(eps, 0, picks + 1)
-    return WalkRun(n, law, eps, v, x, tree_id, odd)
+    tree = (np.cumsum(eps) - 1)[root]
+    return WalkRun(n, law, eps, x, tree, odd)
 
 
 @dataclass(frozen=True)
 class ForestCensus:
     """Occurrence statistics of the genealogical forest of one run.
 
-    ``occurrences[j-1]`` counts how often innovation ``j`` was used (its
-    tree's size), ``nu[k]`` counts trees of size ``k``, and
+    ``occurrences[j]`` counts how often innovation ``j`` (0-based) was used
+    (its tree's size), ``nu[k]`` counts trees of size ``k``, and
     ``delta_per_tree`` holds each tree's even-minus-odd vertex count.  The
     increasing-tree shapes of size <= 3 are told apart by (size, delta).
     """
@@ -435,16 +449,6 @@ class ForestCensus:
     occurrences: np.ndarray
     nu: dict[int, int]
     delta_per_tree: np.ndarray
-
-
-def _tree_stats(run: WalkRun) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tree sizes and even-minus-odd deltas, in innovation order."""
-    import numpy as np
-
-    t = run.tree_id - 1
-    counts = np.bincount(t, minlength=run.innovations)
-    odd = np.bincount(t, weights=run.parity, minlength=run.innovations).astype(np.int64)
-    return counts, counts - 2 * odd
 
 
 def forest_census(run: WalkRun) -> ForestCensus:
@@ -455,35 +459,37 @@ def forest_census(run: WalkRun) -> ForestCensus:
     """
     import numpy as np
 
-    counts, deltas = _tree_stats(run)
-    freq = np.bincount(counts)
+    size, delta = run.trees
+    freq = np.bincount(size)
     sizes = np.flatnonzero(freq)
-    return ForestCensus(counts, dict(zip(sizes.tolist(), freq[sizes].tolist())), deltas)
+    return ForestCensus(size, dict(zip(sizes.tolist(), freq[sizes].tolist())), delta)
 
 
 def decompose(run: WalkRun) -> dict[int, Number]:
     """Split the counterbalanced sum by occurrence count.
 
-    Component ``k`` collects ``delta(tree) * draw`` over the trees of size
-    ``k``; the components reconstruct the final position (exactly for
-    exact laws, to 1e-9 relative for float laws).
+    Component ``k`` is the weighted sum over trees ``sum delta(tree) *
+    draw`` restricted to the trees of size ``k``: exact for exact laws,
+    correctly rounded for float laws.
     """
     import numpy as np
 
-    counts, deltas = _tree_stats(run)
-    freq = np.bincount(counts)
-    sizes = np.flatnonzero(freq)
-    order = np.argsort(counts, kind="stable")
-    groups = np.split((deltas * run.x)[order], np.cumsum(freq[sizes])[:-1])
-    return {k: _total(run.law, terms) for k, terms in zip(sizes.tolist(), groups)}
+    size, delta = run.trees
+    return {k: _total(run.law, run.x[size == k], delta[size == k])
+            for k in np.unique(size).tolist()}
 
 
 def representation_residual(run: WalkRun) -> Number:
-    """Gap between the per-step sum of the counterbalanced walk and the
-    forest form ``sum_j delta(tree_j) * draw_j``: exactly 0 for exact laws,
-    tiny (<= 1e-9 relative) for float laws."""
-    _, deltas = _tree_stats(run)
-    return abs(run.final_check - _total(run.law, deltas * run.x))
+    """Gap between the counterbalanced walk added up step by step (an
+    integer sum for lattice laws, `math.fsum` for float laws) and the forest
+    form ``final_check = sum_j delta(tree_j) * draw_j``: exactly 0, since
+    both are exact or correctly rounded sums of the same number."""
+    steps = run.x_check
+    if run.law.exact:
+        direct = _as_exact(run.law.lattice_step * int(steps.sum()))
+    else:  # a memoryview yields one Python float at a time, with no n-long list
+        direct = math.fsum(memoryview(steps))
+    return abs(direct - run.final_check)
 
 
 @dataclass

@@ -286,11 +286,50 @@ class TestStableExponent:
         with pytest.raises(ValueError):
             StableSpec(2.5, 1.0)
 
+    def test_tail_bounds_the_omitted_shells(self):
+        # at kmax = 50 the bound covers value(kmax=1500) - value(kmax=50),
+        # here summed from float parity laws, which match the exact shells
+        alphas = (0.5, 1.0, 1.5, 1.9)
+        far = 1500
+        moments = shell_abs_moments(far, alphas)
+        for p in (Fraction(1, 4), HALF, Fraction(3, 4)):
+            rho, prefac = float(rho_of(p)), float(p / (1 - p))
+            weights = [prefac * b for b in itertools.islice(_betas(rho), far)]
+            for alpha in alphas:
+                spec = StableSpec(alpha, 1.0)
+                head, _ = stable_check_exponent(1.0, p, spec, kmax=60)
+                shells = [w * m for w, m in zip(weights, moments[alpha])]
+                assert math.fsum(shells[:60]) == pytest.approx(head, rel=1e-12)
+                _, tail = stable_check_exponent(1.0, p, spec, kmax=50)
+                assert tail >= math.fsum(shells[50:])
+
     def test_homogeneity(self):
         spec = StableSpec(1.5, 2.0)
         assert spec.phi(3.0) == pytest.approx(3.0**1.5 * 2.0)
         assert spec.phi(-3.0) == pytest.approx(3.0**1.5 * 2.0)
         assert spec.a_n(16) == pytest.approx(16 ** (2 / 3))
+
+
+def shell_abs_moments(kmax, alphas):
+    """``E|delta_k|^alpha`` for ``k = 1..kmax`` and each ``alpha``, from the
+    float Eulerian rows: ``P(Odd = ell) = <k-1, ell-1> / (k-1)!``, each row
+    from the last by ``<n, m> = (m+1) <n-1, m> + (n-m) <n-1, m-1>``."""
+    import numpy as np
+
+    out = {alpha: [1.0] for alpha in alphas}  # a lone root: delta = 1
+    row = np.ones(1)  # <1, 0> / 1!
+    for k in range(2, kmax + 1):
+        n = k - 1
+        if n > 1:
+            m = np.arange(n)
+            nxt = np.zeros(n)
+            nxt[:-1] += (m[:-1] + 1) * row
+            nxt[1:] += (n - m[1:]) * row
+            row = nxt / n
+        delta = np.abs(k - 2 * (np.arange(n) + 1.0))
+        for alpha in alphas:
+            out[alpha].append(float(row @ delta**alpha))
+    return out
 
 
 def quadrature_phi1(alpha, n):

@@ -320,11 +320,12 @@ class TestLimitsCommand:
         (("--p", "1/2", "--mu", "gauss:0,1", "--kmax", "60"),
          "28b02da12dd8ccc96c06274172ae77b60059c347f95658ff7f4d0e97ca23e53a"),
         (("stable", "--alpha", "1.5", "--p", "1/2", "--theta", "0.7", "--kmax", "200"),
-         "d4323368088ff55317da092752389b94514972d798a7a1d0086718dfc530dec1"),
+         "02919428e2001efe0581a21c27b2abee75dd53f10e3ef546db95055c84348207"),
     ])
     def test_table_bytes_are_pinned(self, capsys, argv, digest):
         # sha256 of stdout as printed when every constant had its own Beta
-        # lookup and the stable exponent stepped its Beta weights by hand
+        # lookup and the stable exponent stepped its Beta weights by hand,
+        # except the stable tail_estimate line, now the Jensen bound
         code, out, _ = run_cli(capsys, "limits", *argv)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -426,6 +427,16 @@ def run_python(*args, timeout=60):
     """A fresh interpreter on the package sources; returns the finished process."""
     return subprocess.run([sys.executable, *args], env=dict(os.environ, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=timeout)
+
+
+def test_overflowing_step_draw_fails_with_one_line():
+    # a pareto:1/100 magnitude (1-u)**-100 passes the float range for most
+    # u near 1; the run stops before any sum sees an infinite draw, and no
+    # numpy warning reaches stderr
+    done = run_python("-m", "counterwalk", "simulate", "--n", "1000", "--p", "1/2",
+                      "--mu", "pareto:0.01", "--reps", "3", "--seed", "0")
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr == "error: result beyond the float range: a pareto:1/100 step draw\n"
 
 
 def test_peak_rss_counts_this_process_only():

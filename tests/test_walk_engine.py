@@ -2,6 +2,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -32,14 +33,21 @@ from counterwalk.walk_engine import (
 )
 
 
-def parent_sequences(run):
+def layout_picks(n, seed):
+    """The 0-based pick of every step of ``simulate(n, p, law, seed)``,
+    re-derived from the draw layout: the second row of ``n`` uniforms."""
+    u = np.random.default_rng(seed).random((2, n))
+    return (u[1] * np.arange(n)).astype(np.int64)
+
+
+def parent_sequences(run, picks):
     """Each tree's parent sequence, its vertices numbered by arrival in the
     tree, read off the run's picks one step at a time."""
     local, seqs = [], {}
-    for innov, pick, tree in zip(run.eps.tolist(), run.v.tolist(), run.tree_id.tolist()):
+    for innov, pick, tree in zip(run.eps.tolist(), picks.tolist(), run.tree.tolist()):
         seq = seqs.setdefault(tree, [])
         if not innov:
-            seq.append(local[pick - 1])
+            seq.append(local[pick])
         local.append(len(seq) + 1)
     return [tuple(seq) for seq in seqs.values()]
 
@@ -149,6 +157,15 @@ class TestStepLaw:
         assert StepLaw.gaussian(0, Fraction(1, 10**700)).params[1] == Fraction(1, 10**700)
         big = int(np.finfo(np.float64).max)
         assert simulate_batch(5, Fraction(1, 2), StepLaw.gaussian(0, big), 3, 1).s_check.shape == (3,)
+
+    def test_overflowing_pareto_draw_raises(self):
+        law = StepLaw.pareto_symmetric(Fraction(1, 100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match=re.escape("a pareto:1/100 step draw")):
+                simulate_batch(1000, Fraction(1, 2), law, 3, 0)
+            with pytest.raises(OverflowError, match=re.escape("a pareto:1/100 step draw")):
+                law.sample_batch(np.random.default_rng(0), 1000)
 
     def test_gaussian_rejects_negative_variance(self):
         with pytest.raises(ValueError):
@@ -282,10 +299,9 @@ class TestForest:
         # picks j - 1, so a tile without innovations is one path
         n = 2**20 + 1
         top = 1.0 - 2.0**-53
-        innov, picks, root, odd = walk_engine._tile(FixedUniforms(np.full((1, 2, n), top)),
-                                                   n, 0.0, 1)
+        innov, root, odd = walk_engine._tile(FixedUniforms(np.full((1, 2, n), top)), n, 0.0, 1)
         step = np.arange(n)
-        assert (picks[0, 1:] < step[1:]).all()
+        # a pick at its own step would root a tree there
         assert not root.any()
         assert (odd[0] == (step % 2 == 1)).all()
         # the same product for steps near 2**53, the last exact float64 integers
@@ -304,30 +320,35 @@ class TestSimulate:
         for seed in range(5):
             run = simulate(20, Fraction(0), StepLaw.rademacher(), seed)
             assert run.eps[0]
-            assert run.tree_id[0] == 1 and not run.parity[0]
+            assert run.tree[0] == 0 and not run.parity[0]
 
     def test_innovation_count_tracks_bits(self):
         run = simulate(200, Fraction(1, 3), StepLaw.dirac(1), 3)
         running = 0
-        for bit, tree in zip(run.eps, run.tree_id):
+        for bit, tree in zip(run.eps, run.tree):
             running += bit
-            assert tree <= running
+            assert tree < running
             if bit:
-                assert tree == running
+                assert tree == running - 1
         assert len(run.x) == run.innovations == running
 
     def test_pick_only_drawn_when_counterbalancing(self):
+        # a counterbalancing step joins its pick's tree one level deeper;
+        # an innovation roots its own tree whatever its pick uniform was
         run = simulate(100, Fraction(1, 2), StepLaw.dirac(1), 4)
-        for m in range(2, 101):
-            if run.eps[m - 1]:
-                assert run.v[m - 1] == 0
+        picks = layout_picks(100, 4)
+        for j in range(1, 100):
+            if run.eps[j]:
+                assert run.tree[j] == run.eps[:j + 1].sum() - 1 and not run.parity[j]
             else:
-                assert 1 <= run.v[m - 1] <= m - 1
+                assert 0 <= picks[j] < j
+                assert run.tree[j] == run.tree[picks[j]]
+                assert run.parity[j] != run.parity[picks[j]]
 
     def test_pure_innovation_is_plain_random_walk(self):
         run = simulate(100, Fraction(1), StepLaw.rademacher(), 7)
         assert np.array_equal(run.x_check, run.x)
-        assert np.array_equal(run.x[run.tree_id - 1], run.x)
+        assert np.array_equal(run.x[run.tree], run.x)
         assert run.final_check == sum(run.x)
         parts = decompose(run)
         assert set(parts) == {1}
@@ -346,7 +367,7 @@ class TestSimulate:
     def test_coupling_and_sign_rule(self):
         for law in ALL_LAWS:
             run = simulate(400, Fraction(1, 3), law, 21)
-            for xc, xh, par in zip(run.x_check, run.x[run.tree_id - 1], run.parity):
+            for xc, xh, par in zip(run.x_check, run.x[run.tree], run.parity):
                 assert abs(xc) == abs(xh)
                 if par == 0:
                     assert xc == xh
@@ -355,15 +376,14 @@ class TestSimulate:
 
     def test_parity_matches_independent_reconstruction(self):
         run = simulate(300, Fraction(2, 5), StepLaw.dirac(1), 33)
-        parity = [0] * (run.n + 1)
-        for m in range(1, run.n + 1):
-            if run.eps[m - 1]:
-                parity[m] = 0
-            else:
-                parity[m] = parity[run.v[m - 1]] ^ 1
-        assert run.parity.tolist() == [parity[m] for m in range(1, run.n + 1)]
-        root, odd = reference_forest(run.eps, run.v - 1)
-        assert np.array_equal(run.tree_id, np.cumsum(run.eps)[root])
+        picks = layout_picks(300, 33)
+        parity = [0] * run.n
+        for j in range(1, run.n):
+            if not run.eps[j]:
+                parity[j] = parity[picks[j]] ^ 1
+        assert run.parity.tolist() == parity
+        root, odd = reference_forest(run.eps, picks)
+        assert np.array_equal(run.tree, (np.cumsum(run.eps) - 1)[root])
         assert np.array_equal(run.parity, odd)
 
     def test_reinforced_walk_of_unit_masses_is_deterministic(self):
@@ -378,17 +398,19 @@ class TestSimulate:
         u = np.random.default_rng(41).random(2 * n)
         eps = u[:n] < 0.3
         eps[0] = True
-        v = np.where(eps, 0, (u[n:] * np.arange(n)).astype(np.int64) + 1)
+        root, odd = reference_forest(eps, (u[n:] * np.arange(n)).astype(np.int64))
         for law in ALL_LAWS:
             run = simulate(n, 0.3, law, 41)
             assert np.array_equal(run.eps, eps)
-            assert np.array_equal(run.v, v)
+            assert np.array_equal(run.tree, (np.cumsum(eps) - 1)[root])
+            assert np.array_equal(run.parity, odd)
 
     def test_determinism(self):
         a = simulate(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 77)
         b = simulate(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 77)
         assert np.array_equal(a.s_check, b.s_check)
-        assert np.array_equal(a.eps, b.eps) and np.array_equal(a.v, b.v) and np.array_equal(a.x, b.x)
+        assert np.array_equal(a.eps, b.eps) and np.array_equal(a.x, b.x)
+        assert np.array_equal(a.tree, b.tree) and np.array_equal(a.parity, b.parity)
         c = simulate(1000, Fraction(1, 2), StepLaw.gaussian(0, 1), 78)
         assert not np.array_equal(c.s_check, a.s_check)
 
@@ -396,7 +418,7 @@ class TestSimulate:
         # within one ulp of the correctly rounded prefix sums, which a plain
         # float64 running sum misses by many ulps at this length
         run = simulate(20_000, Fraction(1, 2), StepLaw.gaussian(0, 1), 12)
-        walks = ((run.s_check, run.x_check), (run.s_hat, run.x[run.tree_id - 1]))
+        walks = ((run.s_check, run.x_check), (run.s_hat, run.x[run.tree]))
         for sums, steps in walks:
             for k in (1, 777, 20_000):
                 exact = math.fsum(steps[:k].tolist())
@@ -452,7 +474,7 @@ class TestForestCensus:
     @pytest.mark.parametrize("seed", range(6))
     def test_size_census_matches_unique_counts(self, seed):
         run = simulate(3000, Fraction(seed + 1, 8), StepLaw.rademacher(), seed)
-        sizes, freq = np.unique(np.bincount(run.tree_id - 1), return_counts=True)
+        sizes, freq = np.unique(np.bincount(run.tree), return_counts=True)
         assert forest_census(run).nu == dict(zip(sizes.tolist(), freq.tolist()))
 
     def test_deltas_bounded_by_sizes(self):
@@ -476,7 +498,7 @@ class TestForestCensus:
         from scipy.stats import chisquare
 
         run = simulate(100_000, Fraction(1, 2), StepLaw.dirac(1), 4242)
-        shapes = Counter(parent_sequences(run))
+        shapes = Counter(parent_sequences(run, layout_picks(100_000, 4242)))
         for k in (3, 4):
             counts = [cnt for seq, cnt in shapes.items() if len(seq) + 1 == k]
             assert len(counts) == math.factorial(k - 1)
@@ -487,7 +509,7 @@ class TestForestCensus:
         # c14 counts each shape of size <= 3 as the trees of its (size, delta)
         run = simulate(20_000, Fraction(1, 2), StepLaw.dirac(1), 99)
         census = forest_census(run)
-        shapes = Counter(parent_sequences(run))
+        shapes = Counter(parent_sequences(run, layout_picks(20_000, 99)))
         for shape, (k, d) in _SMALL_SHAPES.items():
             count = ((census.occurrences == k) & (census.delta_per_tree == d)).sum()
             assert count == shapes[shape] > 0
@@ -536,10 +558,10 @@ class TestRepresentationResidual:
                 assert representation_residual(run) == 0
 
     def test_float_laws_stay_below_relative_band(self):
+        # both sides are correctly rounded sums of the same number
         for seed in range(3):
             run = simulate(20_000, Fraction(1, 2), StepLaw.gaussian(0, 1), seed)
-            res = float(representation_residual(run))
-            assert res <= 1e-9 * (1 + abs(float(run.final_check)))
+            assert representation_residual(run) == 0
 
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -554,21 +576,31 @@ def same_float(got, want):
     return repr(got) == repr(want)
 
 
-def check_against_exact(values):
-    """`_float_total` against `math.fsum` (wherever it returns) and against
-    the exact rational sum, rounded once."""
+def unit_total(a):
+    return _float_total(a, np.ones(a.size, dtype=np.int64))
+
+
+def exact_sum(values, weights):
+    return sum((Fraction(x) * k for x, k in zip(values, weights)), Fraction(0))
+
+
+def check_against_exact(values, weights=None):
+    """`_float_total` against the exact rational sum of ``weights * values``
+    (unit weights by default), rounded once, and for unit weights against
+    `math.fsum` too, wherever it returns."""
     a = np.array(values, dtype=np.float64)
+    w = np.ones(a.size, dtype=np.int64) if weights is None else np.array(weights, dtype=np.int64)
     try:
-        want = math.fsum(values)
+        want = math.fsum(values) if weights is None else None
     except OverflowError:
         want = None
     try:
-        exact = float(sum(map(Fraction, values), Fraction(0)))
+        exact = float(exact_sum(values, w.tolist()))
     except OverflowError:
         with pytest.raises(OverflowError):
-            _float_total(a)
+            _float_total(a, w)
         return
-    got = _float_total(a)
+    got = _float_total(a, w)
     assert got == exact
     if want is not None:
         assert same_float(got, want)
@@ -593,6 +625,31 @@ class TestFloatTotal:
         rnd.shuffle(values)
         check_against_exact(values)
 
+    @given(st.lists(st.tuples(st.one_of(SIGNED_EXTREMES, FINITE), st.integers(-2**13, 2**13)),
+                    max_size=60),
+           st.lists(st.tuples(SIGNED_EXTREMES, st.integers(-2**13, 2**13)), max_size=3),
+           st.booleans(), st.randoms(use_true_random=False))
+    @settings(max_examples=400, deadline=None)
+    def test_weighted_sum_equals_exact(self, pairs, rest, cancel, rnd):
+        # sum(|w|) stays below 2**20; with ``cancel`` every term comes back
+        # with its weight negated, so the rest decides the sum; weights of
+        # extreme values push the exact sum past the float range
+        if cancel:
+            pairs = pairs + [(x, -k) for x, k in pairs]
+        pairs = pairs + rest
+        rnd.shuffle(pairs)
+        check_against_exact([x for x, _ in pairs], [k for _, k in pairs])
+
+    @pytest.mark.parametrize("values,weights", [
+        ([1.0 - 2.0**-53, -(1.0 - 2.0**-53)], [2**20 - 1, -(2**20 - 2)]),
+        ([2.0**-1074, 1.0], [2**20, 0]),
+        ([1.7976931348623157e308, -1.7976931348623157e308], [3, -2]),
+        ([1.7976931348623157e308, 1e308], [1, 1]),
+        ([0.1, 0.2, 0.3], [0, 0, 0]),
+    ])
+    def test_weighted_small_cases(self, values, weights):
+        check_against_exact(values, weights)
+
     @pytest.mark.parametrize("values", [
         [], [0.0], [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324], [-5e-324, 5e-324, 5e-324],
         [2.2250738585072014e-308, -5e-324], [1.0], [-2.5], [1e16, 1.0, -1e16],
@@ -605,13 +662,13 @@ class TestFloatTotal:
         rng = np.random.default_rng(5)
         for a in (rng.normal(size=100_000), rng.standard_cauchy(size=50_000),
                   rng.normal(size=20_000) * 10.0 ** rng.integers(-300, 300, size=20_000)):
-            assert same_float(_float_total(a), math.fsum(a.tolist()))
+            assert same_float(unit_total(a), math.fsum(a.tolist()))
 
     def test_exact_where_fsum_overflows_midway(self):
         big = 1.7976931348623157e308
         with pytest.raises(OverflowError):
             math.fsum([big, big, -big])
-        assert _float_total(np.array([big, big, -big])) == big
+        assert unit_total(np.array([big, big, -big])) == big
 
     @pytest.mark.parametrize("values", [
         [1.7976931348623157e308, 1.7976931348623157e308],
@@ -619,7 +676,7 @@ class TestFloatTotal:
     ])
     def test_sum_beyond_float_range_overflows(self, values):
         with pytest.raises(OverflowError):
-            _float_total(np.array(values))
+            unit_total(np.array(values))
 
     @pytest.mark.parametrize("values", [
         [math.inf, 1.0], [-math.inf, -1e308, -1e308], [math.nan, 1.0], [math.inf, math.nan],
@@ -630,22 +687,34 @@ class TestFloatTotal:
             want = math.fsum(values)
         except (OverflowError, ValueError) as exc:
             with pytest.raises(type(exc), match=re.escape(str(exc))):
-                _float_total(np.array(values))
+                unit_total(np.array(values))
         else:
-            assert same_float(_float_total(np.array(values)), want)
+            assert same_float(unit_total(np.array(values)), want)
 
     @pytest.mark.parametrize("law", [StepLaw.gaussian(0, 1), StepLaw.uniform_symmetric(),
                                      StepLaw.pareto_symmetric(Fraction(1, 2))])
     def test_run_totals_are_correctly_rounded(self, law):
         run = simulate(5000, Fraction(1, 3), law, 8)
-        assert same_float(run.final_check, math.fsum(run.x_check.tolist()))
-        assert same_float(run.final_hat, math.fsum(run.x[run.tree_id - 1].tolist()))
+        steps = run.x_check.tolist()
+        assert same_float(run.final_check, float(exact_sum(steps, [1] * len(steps))))
+        assert same_float(run.final_hat, float(exact_sum(run.x[run.tree].tolist(), [1] * run.n)))
         census = forest_census(run)
-        terms = census.delta_per_tree * run.x
         for k, part in decompose(run).items():
-            assert same_float(part, math.fsum(terms[census.occurrences == k].tolist()))
-        assert same_float(representation_residual(run),
-                          abs(run.final_check - math.fsum(terms.tolist())))
+            picked = census.occurrences == k
+            want = exact_sum(run.x[picked].tolist(), census.delta_per_tree[picked].tolist())
+            assert same_float(part, float(want))
+        assert representation_residual(run) == 0
+
+    @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
+    @pytest.mark.parametrize("n", [1, 7, 5000])
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1)])
+    def test_finals_equal_fsum_of_the_steps(self, law, n, p):
+        # the finals are weighted sums over trees; the per-step walks they
+        # must equal are added up by `math.fsum`
+        run = simulate(n, p, law, 8)
+        reinforced = run.as_float(run.x[run.tree]).tolist()
+        assert same_float(float(run.final_check), math.fsum(run.as_float(run.x_check).tolist()))
+        assert same_float(float(run.final_hat), math.fsum(reinforced))
 
 
 class TestBatch:
