@@ -242,10 +242,7 @@ def c10_tree_size_frequencies(seed: int, fast: bool = False) -> list[CheckReport
     reps = 8 if fast else 32
     p = Fraction(1, 2)
     law = StepLaw.dirac(1)
-    nus: list[dict[int, int]] = []
-    for r in range(reps):
-        run = simulate(n, p, law, child_seed(seed, 1000 + r))
-        nus.append(forest_census(run).nu)
+    nus = [forest_census(simulate(n, p, law, child_seed(seed, 1000 + r))) for r in range(reps)]
     reports = []
     pn = float(p) * n
     for k in range(1, 6):
@@ -373,10 +370,10 @@ def c14_shape_frequencies(seed: int, fast: bool = False) -> list[CheckReport]:
     shape_counts = np.empty((len(_SMALL_SHAPES), reps), dtype=np.int64)
     dsq_rates = []
     for r in range(reps):
-        census = forest_census(simulate(n, p, law, child_seed(seed, 1400 + r)))
+        size, delta = simulate(n, p, law, child_seed(seed, 1400 + r)).trees
         for i, (k, d) in enumerate(_SMALL_SHAPES.values()):
-            shape_counts[i, r] = ((census.occurrences == k) & (census.delta_per_tree == d)).sum()
-        dsq_rates.append(int(census.delta_per_tree @ census.delta_per_tree) / n)
+            shape_counts[i, r] = ((size == k) & (delta == d)).sum()
+        dsq_rates.append(int(delta @ delta) / n)
     reports = []
     for shape, samples in zip(_SMALL_SHAPES, shape_counts / n):
         target = float(asym.tree_freq_limit(len(shape) + 1, p))

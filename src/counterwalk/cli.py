@@ -28,17 +28,15 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from functools import partial
 
 from . import __version__
 
-# Start-up loads only this dispatcher (`site` has loaded `contextlib` and
-# `functools` already); `build_parser` adds `argparse`, and every handler
-# imports its own layers and stdlib modules when called.  So `--help` and
-# usage errors load no layer, `exact`, `table` and `limits` (stable too)
-# never load numpy, and `simulate`, which adds `replication` and
-# `walk_engine`, never loads the acceptance suite, the verifier or the
-# asymptotics.
+# Start-up loads only this dispatcher (`site` has loaded `contextlib`
+# already); `build_parser` adds `argparse`, and every handler imports its
+# own layers and stdlib modules when called.  So `--help` and usage errors
+# load no layer, `exact`, `table` and `limits` (stable too) never load
+# numpy, and `simulate`, which adds `replication` and `walk_engine`, never
+# loads the acceptance suite, the verifier or the asymptotics.
 
 
 class CliError(Exception):
@@ -114,29 +112,9 @@ def _float_range(quantity: str):
 # ---------------------------------------------------------------- simulate
 
 
-def _replica(n: int, p: Fraction, law, traj_every: int, task: tuple[int, int]):
-    from .walk_engine import forest_census, simulate
-
-    rep, seed = task
-    run = simulate(n, p, law, seed)
-    nu1 = forest_census(run).nu.get(1, 0)
-    # trajectories never overflow first: float-law partial sums are floats
-    # already, rademacher positions stay within n, and under dirac:C the
-    # final reinforced position n*C bounds every earlier position
-    with _float_range(f"the final position of replica {rep}"):
-        summary = (rep, n, run.innovations, float(run.final_check), float(run.final_hat), nu1)
-    traj = []
-    if traj_every > 0:
-        at = slice(traj_every - 1, None, traj_every)
-        steps = range(traj_every, n + 1, traj_every)
-        s_check = run.as_float(run.s_check[at]).tolist()
-        s_hat = run.as_float(run.s_hat[at]).tolist()
-        traj = [(rep, step, c, h) for step, c, h in zip(steps, s_check, s_hat)]
-    return summary, traj
-
-
 def _cmd_simulate(args) -> int:
-    from .replication import child_seed, run_replicas
+    from .replication import child_seed
+    from .walk_engine import forest_census, simulate
 
     p = _parse_prob(args.p)
     law = _parse_law(args.mu)
@@ -150,19 +128,25 @@ def _cmd_simulate(args) -> int:
         args.seed, "simulate", n=args.n, p=p, mu=law.spec_string(), reps=args.reps,
         seed=args.seed, traj_every=args.traj_every,
     )
-    replica = partial(_replica, args.n, p, law, args.traj_every)
-    results = run_replicas(replica, [(r, child_seed(args.seed, r)) for r in range(args.reps)])
-
     lines = ["rep,n,i_n,S_check,S_hat,nu1", comment]
-    for summary, _ in results:
-        rep, n, i_n, s_check, s_hat, nu1 = summary
-        lines.append(f"{rep},{n},{i_n},{s_check!r},{s_hat!r},{nu1}")
-    if args.traj_every > 0:
-        lines.append("# trajectory: rep,step,S_check,S_hat")
-        for _, traj in results:
-            for rep, step, s_check, s_hat in traj:
-                lines.append(f"{rep},{step},{s_check!r},{s_hat!r}")
-    _emit(lines, args.out)
+    every = args.traj_every
+    traj = ["# trajectory: rep,step,S_check,S_hat"] if every > 0 else []
+    for rep in range(args.reps):
+        run = simulate(args.n, p, law, child_seed(args.seed, rep))
+        nu1 = forest_census(run).get(1, 0)
+        # trajectories never overflow first: float-law partial sums are floats
+        # already, rademacher positions stay within n, and under dirac:C the
+        # final reinforced position n*C bounds every earlier position
+        with _float_range(f"the final position of replica {rep}"):
+            final_check, final_hat = float(run.final_check), float(run.final_hat)
+        lines.append(f"{rep},{args.n},{run.innovations},{final_check!r},{final_hat!r},{nu1}")
+        if every > 0:
+            at = slice(every - 1, None, every)
+            steps = range(every, args.n + 1, every)
+            s_check = run.as_float(run.s_check[at]).tolist()
+            s_hat = run.as_float(run.s_hat[at]).tolist()
+            traj.extend(f"{rep},{step},{c!r},{h!r}" for step, c, h in zip(steps, s_check, s_hat))
+    _emit(lines + traj, args.out)
     return 0
 
 

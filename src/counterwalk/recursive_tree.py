@@ -2,11 +2,11 @@
 
 A tree on vertices ``1..k`` is given by its parent sequence
 ``(par(2), ..., par(k))`` with ``par(j) < j``; vertex 1 is the root.
-`walk_engine.forest_census` reads each tree only through its size and its
-even-minus-odd count, which tell the shapes of size <= 3 apart.  The exact
-parity laws of these trees live in `eulerian`.  Random trees are sampled
-as `walk_engine.forest` forests without innovations, in the draw layout of
-`walk_engine`.
+The simulator reads each tree only through its size and its even-minus-odd
+count (`walk_engine.WalkRun.trees`), which tell the shapes of size <= 3
+apart.  The exact parity laws of these trees live in `eulerian`.  Random
+trees are sampled as `walk_engine.forest` forests without innovations, in
+the draw layout of `walk_engine`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Deterministic seed derivation and replica scheduling.
+"""Deterministic per-replica seed derivation.
 
 Every replica draws from its own stream whose seed is a 64-bit avalanche
 mix of the master seed and the replica index, so a replica's result does
@@ -33,11 +33,12 @@ def child_seed(master: int, index: int) -> int:
 
 
 def run_replicas(fn: Callable[[U], T], tasks: Sequence[U], workers: int | None = None) -> list[T]:
-    """Evaluate ``fn`` on each replica task, one at a time and in
-    replica-index order, in this process.
+    """Evaluate ``fn`` on each task in order, in this process.
 
-    ``workers`` is ignored; ``perfbench/tracer.py`` wraps this function by
-    name and still passes it.
+    Nothing in the package calls this: ``perfbench/tracer.py``'s
+    ``install()`` patches it by name, which is the only reason it stays,
+    with its ignored ``workers`` argument.  ROADMAP item 1 deletes it
+    together with that benchmark edit.
     """
     return [fn(task) for task in tasks]
 

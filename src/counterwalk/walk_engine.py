@@ -436,33 +436,17 @@ def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
     return WalkRun(n, law, eps, x, tree, odd)
 
 
-@dataclass(frozen=True)
-class ForestCensus:
-    """Occurrence statistics of the genealogical forest of one run.
-
-    ``occurrences[j]`` counts how often innovation ``j`` (0-based) was used
-    (its tree's size), ``nu[k]`` counts trees of size ``k``, and
-    ``delta_per_tree`` holds each tree's even-minus-odd vertex count.  The
-    increasing-tree shapes of size <= 3 are told apart by (size, delta).
-    """
-
-    occurrences: np.ndarray
-    nu: dict[int, int]
-    delta_per_tree: np.ndarray
-
-
-def forest_census(run: WalkRun) -> ForestCensus:
-    """Cut innovation edges and census the resulting trees by size and
-    parity.
+def forest_census(run: WalkRun) -> dict[int, int]:
+    """The tree-size histogram ``nu`` of ``run.trees``: ``nu[k]`` trees
+    have ``k`` vertices.
 
     Satisfies ``sum(k * nu[k]) == n`` and ``sum(nu.values()) == i(n)``.
     """
     import numpy as np
 
-    size, delta = run.trees
-    freq = np.bincount(size)
+    freq = np.bincount(run.trees[0])
     sizes = np.flatnonzero(freq)
-    return ForestCensus(size, dict(zip(sizes.tolist(), freq[sizes].tolist())), delta)
+    return dict(zip(sizes.tolist(), freq[sizes].tolist()))
 
 
 def decompose(run: WalkRun) -> dict[int, Number]:

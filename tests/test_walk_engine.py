@@ -361,8 +361,7 @@ class TestSimulate:
         for m in range(1, 301):
             partial += 1 - 2 * run.parity[m - 1]
             assert run.s_check[m - 1] == partial
-        census = forest_census(run)
-        assert run.final_check == census.delta_per_tree[0]
+        assert run.final_check == run.trees[1][0]
 
     def test_coupling_and_sign_rule(self):
         for law in ALL_LAWS:
@@ -465,30 +464,29 @@ class TestForestCensus:
     @settings(max_examples=40, deadline=None)
     def test_counting_invariants(self, seed, p, n):
         run = simulate(n, p, StepLaw.rademacher(), seed)
-        census = forest_census(run)
-        assert sum(k * cnt for k, cnt in census.nu.items()) == n
-        assert sum(census.nu.values()) == run.innovations
-        assert sum(census.occurrences) == n
-        assert len(census.occurrences) == run.innovations
+        nu = forest_census(run)
+        size, delta = run.trees
+        assert sum(k * cnt for k, cnt in nu.items()) == n
+        assert sum(nu.values()) == run.innovations
+        assert sum(size) == n
+        assert len(size) == len(delta) == run.innovations
 
     @pytest.mark.parametrize("seed", range(6))
     def test_size_census_matches_unique_counts(self, seed):
         run = simulate(3000, Fraction(seed + 1, 8), StepLaw.rademacher(), seed)
         sizes, freq = np.unique(np.bincount(run.tree), return_counts=True)
-        assert forest_census(run).nu == dict(zip(sizes.tolist(), freq.tolist()))
+        assert forest_census(run) == dict(zip(sizes.tolist(), freq.tolist()))
 
     def test_deltas_bounded_by_sizes(self):
         run = simulate(500, Fraction(1, 3), StepLaw.dirac(1), 5)
-        census = forest_census(run)
-        for size, delta in zip(census.occurrences, census.delta_per_tree):
+        for size, delta in zip(*run.trees):
             assert abs(delta) <= size
             assert (delta - size) % 2 == 0
 
     def test_singleton_fraction_near_limit(self):
         n = 100_000
         run = simulate(n, Fraction(1, 2), StepLaw.dirac(1), 17)
-        census = forest_census(run)
-        nu1 = census.nu.get(1, 0)
+        nu1 = forest_census(run).get(1, 0)
         # crude Poisson-scale band around n/3
         assert abs(nu1 - n / 3) <= 4 * math.sqrt(n / 3)
 
@@ -508,19 +506,19 @@ class TestForestCensus:
     def test_small_shape_table_counts_shapes(self):
         # c14 counts each shape of size <= 3 as the trees of its (size, delta)
         run = simulate(20_000, Fraction(1, 2), StepLaw.dirac(1), 99)
-        census = forest_census(run)
+        size, delta = run.trees
         shapes = Counter(parent_sequences(run, layout_picks(20_000, 99)))
         for shape, (k, d) in _SMALL_SHAPES.items():
-            count = ((census.occurrences == k) & (census.delta_per_tree == d)).sum()
+            count = ((size == k) & (delta == d)).sum()
             assert count == shapes[shape] > 0
 
     def test_tree_parity_follows_the_eulerian_law(self):
         # given its size k, a tree's delta has the law of a uniform increasing
         # tree of size k; each value's count lies within 4 sd of its mean
         run = simulate(200_000, Fraction(1, 2), StepLaw.dirac(1), 2718)
-        census = forest_census(run)
+        size, delta = run.trees
         for k in range(1, 7):
-            deltas = census.delta_per_tree[census.occurrences == k]
+            deltas = delta[size == k]
             law = delta_pmf(k)
             assert set(deltas.tolist()) <= set(law.values)
             for d, q in zip(law.values, map(float, law.probs)):
@@ -698,10 +696,10 @@ class TestFloatTotal:
         steps = run.x_check.tolist()
         assert same_float(run.final_check, float(exact_sum(steps, [1] * len(steps))))
         assert same_float(run.final_hat, float(exact_sum(run.x[run.tree].tolist(), [1] * run.n)))
-        census = forest_census(run)
+        size, delta = run.trees
         for k, part in decompose(run).items():
-            picked = census.occurrences == k
-            want = exact_sum(run.x[picked].tolist(), census.delta_per_tree[picked].tolist())
+            picked = size == k
+            want = exact_sum(run.x[picked].tolist(), delta[picked].tolist())
             assert same_float(part, float(want))
         assert representation_residual(run) == 0
 
