@@ -44,8 +44,8 @@ def main() -> int:
 
     target_var = float(clt_variance(p, law.m1, law.m2))
     drift = float(velocity(p, law.m1))
-    batch = simulate_batch(args.n, p, law, args.reps, args.seed, census=False)
-    y = (batch.s_check - drift * args.n) / math.sqrt(args.n)
+    finals = simulate_batch(args.n, p, law, args.reps, args.seed)
+    y = (finals - drift * args.n) / math.sqrt(args.n)
 
     lines = ["quantile,empirical,gaussian"]
     lines.append(

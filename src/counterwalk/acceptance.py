@@ -43,6 +43,7 @@ from .walk_engine import (
     representation_residual,
     simulate,
     simulate_batch,
+    singleton_counts,
 )
 
 DEFAULT_SEED = 20260809
@@ -149,8 +150,8 @@ def c05_oracle_agreement(seed: int, fast: bool = False) -> list[CheckReport]:
                 mean_checks += 1
                 if pmf.mean() != asym.exact_mean(n, p, law.m1):
                     mean_mismatches += 1
-                batch = simulate_batch(n, p, law, reps, child_seed(seed, 500 + combo), census=False)
-                tv = tv_distance(_hist(batch.s_check), pmf)
+                finals = simulate_batch(n, p, law, reps, child_seed(seed, 500 + combo))
+                tv = tv_distance(_hist(finals), pmf)
                 tv_details[f"n={n},p={p},mu={law.spec_string()}"] = round(tv, 6)
                 max_tv = max(max_tv, tv)
     return [
@@ -194,8 +195,7 @@ def c07_velocity(seed: int, fast: bool = False) -> list[CheckReport]:
     n = 10_000 if fast else 100_000
     reps = 10 if fast else 100
     p = Fraction(1, 2)
-    batch = simulate_batch(n, p, StepLaw.dirac(1), reps, child_seed(seed, 7), census=False)
-    samples = batch.s_check / n
+    samples = simulate_batch(n, p, StepLaw.dirac(1), reps, child_seed(seed, 7)) / n
     target = float(asym.velocity(p, 1))
     rep = moment_check(samples, target, band=4.0, name="c07_velocity", seed=seed,
                        config={"n": n, "reps": reps, "p": "1/2", "mu": "dirac:1"})
@@ -210,8 +210,8 @@ def c08_walk_clt(seed: int, fast: bool = False) -> list[CheckReport]:
     var_band = 0.20 if fast else 0.05
     p = Fraction(1, 2)
     target_var = float(asym.clt_variance(p, 1, 1))  # 4/9 for a unit point mass
-    batch = simulate_batch(n, p, StepLaw.dirac(1), reps, child_seed(seed, 8), census=False)
-    y = (batch.s_check - n * float(asym.velocity(p, 1))) / math.sqrt(n)
+    finals = simulate_batch(n, p, StepLaw.dirac(1), reps, child_seed(seed, 8))
+    y = (finals - n * float(asym.velocity(p, 1))) / math.sqrt(n)
     var = float(y.var(ddof=1))
     rel = abs(var - target_var) / target_var
     reports = [
@@ -266,8 +266,8 @@ def c11_singleton_fluctuations(seed: int, fast: bool = False) -> list[CheckRepor
     reps = 500 if fast else 5_000
     band = 0.20 if fast else 0.05
     p = Fraction(1, 2)
-    batch = simulate_batch(n, p, StepLaw.dirac(1), reps, child_seed(seed, 11), census=True)
-    y = (batch.nu1 - n * float(p / (2 - p))) / math.sqrt(n)
+    nu1 = singleton_counts(n, p, reps, child_seed(seed, 11))
+    y = (nu1 - n * float(p / (2 - p))) / math.sqrt(n)
     target = float(asym.nu1_clt_variance(p))  # 5/18 at p = 1/2
     var = float(y.var(ddof=1))
     rel = abs(var - target) / target
@@ -328,8 +328,7 @@ def c13_stable_limit(seed: int, fast: bool = False) -> list[CheckReport]:
     phi1 = asym.pareto_phi1(alpha, n)
     spec = asym.StableSpec(alpha, phi1)
 
-    batch = simulate_batch(n, p, law, reps, child_seed(seed, 1301), census=False)
-    y = batch.s_check / spec.a_n(n)
+    y = simulate_batch(n, p, law, reps, child_seed(seed, 1301)) / spec.a_n(n)
 
     reports = []
     for theta in (0.5, 1.0, 2.0):

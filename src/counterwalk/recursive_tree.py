@@ -22,17 +22,12 @@ def sample_odd_counts(n: int, reps: int, seed: int) -> np.ndarray:
     Each tree is a `forest` without innovations, drawn in the blocks of
     `walk_engine.simulate_batch` at ``p = 0`` (the `walk_engine` docstring
     pins the layout), so the counts equal
-    ``(n - simulate_batch(n, 0, StepLaw.dirac(1), reps, seed).s_check) / 2``
+    ``(n - simulate_batch(n, 0, StepLaw.dirac(1), reps, seed)) / 2``
     and the first ``k`` replicas equal the run with ``reps = k``.
     """
     if n < 1:
         raise ValueError("tree size must be >= 1")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    out = np.empty(reps, dtype=np.int64)
-    for start, _, _, odd, _ in _tiles(seed, n, 0.0, reps):
-        out[start : start + len(odd)] = odd.sum(axis=1)
-    return out
+    return _tiles(seed, n, 0.0, reps, lambda innov, root, odd, steps: odd.sum(axis=1), np.int64)
 
 
 def tanny_sample_batch(n: int, reps: int, seed: int) -> np.ndarray:

@@ -10,7 +10,7 @@ and depth parity from the picks by pointer jumping; every simulator and
 every reduction in this module, and the tree sampler of `recursive_tree`,
 runs on its output.
 
-Draw layout, shared by `simulate`, `simulate_batch` and
+Draw layout, shared by `simulate`, `simulate_batch`, `singleton_counts` and
 `recursive_tree.sample_odd_counts`: a block of ``w`` replicas on
 ``seq = np.random.SeedSequence(seed)`` draws from ``default_rng(seq)``,
 replica by replica, ``n`` innovation uniforms (step ``j``, 0-based, is an
@@ -36,7 +36,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .eulerian import ExactPmf, _as_exact
 from .replication import child_seed
@@ -262,19 +262,38 @@ def _tile(rng: np.random.Generator, n: int, p: float, w: int) -> tuple:
     return innov, root, odd
 
 
-def _tiles(seed: int, n: int, p: float, reps: int) -> Iterator[tuple]:
-    """Block scheduler: ``reps`` replicas in blocks of ``_BLOCK_CELLS // n``,
-    block ``b`` on ``child_seed(seed, b)``, run in tiles of ``_TILE_CELLS //
-    n`` (each at least 1).  Yields ``(start, innov, root, odd, steps)`` per
-    tile; the tile draws its fresh steps from ``steps`` before the next."""
+def _tiles(seed: int, n: int, p: float, reps: int, reduce: Callable, dtype) -> np.ndarray:
+    """The one block scheduler, a map over replicas: returns the ``reps``
+    values of ``dtype`` that ``reduce(innov, root, odd, steps)`` gives, tile
+    by tile.  Blocks of ``_BLOCK_CELLS // n`` replicas, block ``b`` on
+    ``child_seed(seed, b)``, run in tiles of ``_TILE_CELLS // n`` (each at
+    least 1); a tile draws its fresh steps from ``steps`` before the next.
+    Besides the output a call holds one tile, about ``max(n, _TILE_CELLS)``
+    cells, at a time, however large ``reps`` is."""
+    import numpy as np
+
+    if n < 1:
+        raise ValueError("horizon must be >= 1")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
+    out = np.empty(reps, dtype=dtype)
     width = max(1, _BLOCK_CELLS // n)
     tile = max(1, _TILE_CELLS // n)
     for b, block in enumerate(range(0, reps, width)):
         rng, steps = _streams(child_seed(seed, b))
         end = min(block + width, reps)
         for start in range(block, end, tile):
-            innov, root, odd = _tile(rng, n, p, min(tile, end - start))
-            yield start, innov, root, odd, steps
+            stop = min(start + tile, end)
+            out[start:stop] = reduce(*_tile(rng, n, p, stop - start), steps)
+    return out
+
+
+def _prob(p: Number) -> float:
+    """The innovation probability ``p`` as a float, once it lies in [0, 1]."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError("innovation probability must lie in [0, 1]")
+    return float(p)
 
 
 def _total(law: StepLaw, a: np.ndarray, weights: np.ndarray) -> Number:
@@ -425,11 +444,8 @@ def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
 
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("innovation probability must lie in [0, 1]")
     rng, steps = _streams(seed)
-    (eps,), (root,), (odd,) = _tile(rng, n, float(p), 1)
+    (eps,), (root,), (odd,) = _tile(rng, n, _prob(p), 1)
     i_n = int(eps.sum())
     x = law.sample_units(steps, i_n) if law.exact else law.sample_batch(steps, i_n)
     tree = (np.cumsum(eps) - 1)[root]
@@ -476,55 +492,23 @@ def representation_residual(run: WalkRun) -> Number:
     return abs(direct - run.final_check)
 
 
-@dataclass
-class BatchSummary:
-    """Final values of many independent replicas: the counterbalanced sums
-    ``s_check`` and the singleton-tree counts ``nu1`` (``None`` when the
-    census was skipped)."""
+def simulate_batch(n: int, p: Number, law: StepLaw, reps: int, seed: int) -> np.ndarray:
+    """Final counterbalanced sums of ``reps`` independent replicas.
 
-    s_check: np.ndarray
-    nu1: np.ndarray | None
-
-
-def simulate_batch(
-    n: int,
-    p: Number,
-    law: StepLaw,
-    reps: int,
-    seed: int,
-    *,
-    census: bool = True,
-) -> BatchSummary:
-    """High-throughput final-value runner, vectorized across replicas.
-
-    Each replica follows the same recursion as `simulate`.  Replicas run in
-    blocks of ``W = max(1, _BLOCK_CELLS // n)``; block ``b`` is the
-    module docstring's block on ``child_seed(seed, b)``, so replica 0 equals
-    ``simulate(n, p, law, child_seed(seed, 0))``.  A replica's final value is
-    the forest form ``sum over its trees of delta(tree) * draw``, added up in
-    step order.
+    Each replica follows the same recursion as `simulate`, in the blocks of
+    `_tiles`: ``W = max(1, _BLOCK_CELLS // n)`` replicas each, block ``b``
+    the module docstring's block on ``child_seed(seed, b)``, so replica 0 is
+    the run of ``simulate(n, p, law, child_seed(seed, 0))``.  Its value is
+    the forest form ``sum over its trees of delta(tree) * draw``, added up
+    in step order.
 
     Prefix stability: ``W`` depends on ``n`` only, and a short last block
     draws a prefix of what a full block would, so the first ``k`` replicas
     of any run equal the run with ``reps = k``, bit for bit.
-
-    Bounded memory: besides the two ``reps``-long outputs, a call holds the
-    arrays of one tile of `_tiles`, about ``max(n, _TILE_CELLS)`` cells, at
-    a time, however large ``reps`` is.
     """
     import numpy as np
 
-    if n < 1:
-        raise ValueError("horizon must be >= 1")
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("innovation probability must lie in [0, 1]")
-
-    s_check = np.empty(reps)
-    nu1 = np.empty(reps, dtype=np.int64) if census else None
-    for start, innov, root, odd, steps in _tiles(seed, n, float(p), reps):
+    def final(innov, root, odd, steps):
         w = len(innov)
         # flat root cells come out replica by replica, as their steps are drawn
         key = root.ravel()
@@ -532,9 +516,22 @@ def simulate_batch(
         cells = np.flatnonzero(innov)
         delta = np.bincount(key, weights=sign.ravel(), minlength=key.size)[cells]
         x = law.sample_batch(steps, delta.size)
-        s_check[start : start + w] = np.bincount(cells // n, weights=delta * x, minlength=w)
-        if census:
-            sizes = np.bincount(key, minlength=key.size).reshape(w, n)
-            nu1[start : start + w] = (sizes == 1).sum(axis=1)
+        return np.bincount(cells // n, weights=delta * x, minlength=w)
 
-    return BatchSummary(s_check, nu1)
+    return _tiles(seed, n, _prob(p), reps, final, np.float64)
+
+
+def singleton_counts(n: int, p: Number, reps: int, seed: int) -> np.ndarray:
+    """Singleton-tree counts ``nu1`` of the replicas `simulate_batch` runs
+    on the same ``n``, ``p``, ``reps`` and ``seed``, whatever its law, read
+    from the forest alone: fresh steps have their own generator, so none is
+    drawn.  Replica 0 is ``forest_census(simulate(n, p, law,
+    child_seed(seed, 0))).get(1, 0)``."""
+    import numpy as np
+
+    def singles(innov, root, odd, steps):
+        # the size of each tree sits at its root cell
+        sizes = np.bincount(root.ravel(), minlength=root.size)
+        return (sizes == 1).reshape(root.shape).sum(axis=1)
+
+    return _tiles(seed, n, _prob(p), reps, singles, np.int64)

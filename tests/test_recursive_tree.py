@@ -236,8 +236,8 @@ class TestBatchParity:
     def test_equals_the_batch_parity_identity(self, n):
         # at p = 0 a unit-mass batch replica ends at even - odd = n - 2 * odd
         reps = 2 * max(1, _BLOCK_CELLS // n) + 3
-        batch = simulate_batch(n, 0, StepLaw.dirac(1), reps, 21, census=False)
-        assert np.array_equal(sample_odd_counts(n, reps, 21), (n - batch.s_check) / 2)
+        finals = simulate_batch(n, 0, StepLaw.dirac(1), reps, 21)
+        assert np.array_equal(sample_odd_counts(n, reps, 21), (n - finals) / 2)
 
     @pytest.mark.parametrize("n", [1, 6, _TILE_CELLS - 1, _TILE_CELLS, _TILE_CELLS + 1,
                                    3 * _TILE_CELLS])

@@ -30,6 +30,7 @@ from counterwalk.walk_engine import (
     representation_residual,
     simulate,
     simulate_batch,
+    singleton_counts,
 )
 
 
@@ -156,7 +157,7 @@ class TestStepLaw:
         assert StepLaw.dirac(Fraction(1, 10**400)).lattice_step == Fraction(1, 10**400)
         assert StepLaw.gaussian(0, Fraction(1, 10**700)).params[1] == Fraction(1, 10**700)
         big = int(np.finfo(np.float64).max)
-        assert simulate_batch(5, Fraction(1, 2), StepLaw.gaussian(0, big), 3, 1).s_check.shape == (3,)
+        assert simulate_batch(5, Fraction(1, 2), StepLaw.gaussian(0, big), 3, 1).shape == (3,)
 
     def test_overflowing_pareto_draw_raises(self):
         law = StepLaw.pareto_symmetric(Fraction(1, 100))
@@ -719,31 +720,37 @@ class TestBatch:
     def test_deterministic(self):
         a = simulate_batch(50, Fraction(1, 2), StepLaw.rademacher(), 500, 42)
         b = simulate_batch(50, Fraction(1, 2), StepLaw.rademacher(), 500, 42)
-        assert np.array_equal(a.s_check, b.s_check)
-        assert np.array_equal(a.nu1, b.nu1)
+        assert np.array_equal(a, b)
+        a = singleton_counts(50, Fraction(1, 2), 500, 42)
+        assert np.array_equal(a, singleton_counts(50, Fraction(1, 2), 500, 42))
 
     def test_extreme_innovation_rates(self):
         # every step an innovation: each replica sums n unit draws
         ones = simulate_batch(10, Fraction(1), StepLaw.dirac(1), 100, 5)
-        assert np.all(ones.s_check == 10.0)
-        assert np.all(ones.nu1 == 10)
+        assert np.all(ones == 10.0)
+        assert np.all(singleton_counts(10, Fraction(1), 100, 5) == 10)
         # a single tree: one root at even depth and the rest alternate
         zeros = simulate_batch(10, Fraction(0), StepLaw.dirac(1), 100, 5)
-        assert np.all(np.abs(zeros.s_check) <= 10.0)
-        assert np.all(zeros.s_check % 2 == 0)
-        assert np.all(zeros.nu1 == 0)
+        assert np.all(np.abs(zeros) <= 10.0)
+        assert np.all(zeros % 2 == 0)
+        assert np.all(singleton_counts(10, Fraction(0), 100, 5) == 0)
 
-    def test_census_can_be_skipped(self):
-        batch = simulate_batch(20, Fraction(1, 2), StepLaw.dirac(1), 50, 3, census=False)
-        assert batch.nu1 is None
-        census = simulate_batch(20, Fraction(1, 2), StepLaw.dirac(1), 50, 3)
-        assert batch.s_check.tobytes() == census.s_check.tobytes()
+    def test_singleton_counts_draw_no_step(self, monkeypatch):
+        # with no fresh-step generator at all, any step draw would fail
+        want = singleton_counts(20, Fraction(1, 2), 50, 3)
+        streams = walk_engine._streams
+        monkeypatch.setattr(walk_engine, "_streams", lambda seed: (streams(seed)[0], None))
+        nu1 = singleton_counts(20, Fraction(1, 2), 50, 3)
+        assert nu1.dtype == np.int64 and nu1.tobytes() == want.tobytes()
+        monkeypatch.undo()
+        finals = simulate_batch(20, Fraction(1, 2), StepLaw.dirac(1), 50, 3)
+        assert finals.dtype == np.float64 and finals.shape == (50,)
 
     def test_matches_exhaustive_law(self):
         pmf = brute_force_walk_pmf(5, Fraction(1, 2), StepLaw.rademacher())
-        batch = simulate_batch(5, Fraction(1, 2), StepLaw.rademacher(), 20_000, 77, census=False)
-        values, counts = np.unique(np.rint(batch.s_check).astype(int), return_counts=True)
-        hist = ExactPmf.from_weights(zip(values.tolist(), counts.tolist()), batch.s_check.size)
+        batch = simulate_batch(5, Fraction(1, 2), StepLaw.rademacher(), 20_000, 77)
+        values, counts = np.unique(np.rint(batch).astype(int), return_counts=True)
+        hist = ExactPmf.from_weights(zip(values.tolist(), counts.tolist()), batch.size)
         assert tv_distance(hist, pmf) <= 0.05
 
     @pytest.mark.parametrize("n,p,law,reps", [
@@ -774,9 +781,8 @@ class TestBatch:
                 total += delta * next(draws)
             check[r] = total
             singletons[r] = (np.bincount(root, minlength=n) == 1).sum()
-        batch = simulate_batch(n, p, law, reps, seed)
-        assert batch.s_check.tobytes() == check.tobytes()
-        assert np.array_equal(batch.nu1, singletons)
+        assert simulate_batch(n, p, law, reps, seed).tobytes() == check.tobytes()
+        assert np.array_equal(singleton_counts(n, p, reps, seed), singletons)
 
     @pytest.mark.parametrize("law", ALL_LAWS + (StepLaw.dirac(Fraction(1, 3)),),
                              ids=lambda law: law.spec_string())
@@ -786,21 +792,30 @@ class TestBatch:
         # first replica consumes the draws `simulate` does from that seed
         seed = 314
         expected = simulate(n, Fraction(1, 2), law, child_seed(seed, 0)).final_check
-        got = simulate_batch(n, Fraction(1, 2), law, 5, seed).s_check[0]
+        got = simulate_batch(n, Fraction(1, 2), law, 5, seed)[0]
         if law.spec_string() in ("rademacher", "dirac:1"):
             assert got == expected
         else:
             assert got == pytest.approx(float(expected), rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 7, _TILE_CELLS + 1])
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+    def test_singleton_replica_zero_is_simulate(self, n, p):
+        # the forest of block 0's first replica is `simulate`'s on child_seed(seed, 0)
+        seed = 271
+        run = simulate(n, p, StepLaw.gaussian(0, 1), child_seed(seed, 0))
+        assert singleton_counts(n, p, 3, seed)[0] == forest_census(run).get(1, 0)
 
     @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
     def test_replica_prefix_is_stable(self, law):
         # W = 131 replicas per block at n = 1000; 2W + 5 spans three blocks
         n, width = 1000, _BLOCK_CELLS // 1000
         full = simulate_batch(n, Fraction(1, 2), law, 2 * width + 5, 99)
+        full_nu1 = singleton_counts(n, Fraction(1, 2), 2 * width + 5, 99)
         for k in (1, 40, width - 1):
             part = simulate_batch(n, Fraction(1, 2), law, k, 99)
-            assert full.s_check[:k].tobytes() == part.s_check.tobytes()
-            assert np.array_equal(full.nu1[:k], part.nu1)
+            assert full[:k].tobytes() == part.tobytes()
+            assert np.array_equal(full_nu1[:k], singleton_counts(n, Fraction(1, 2), k, 99))
 
     @pytest.mark.parametrize("law", ALL_LAWS, ids=lambda law: law.kind)
     @pytest.mark.parametrize("n", [1, 6, _TILE_CELLS - 1, _TILE_CELLS, _TILE_CELLS + 1,
@@ -811,38 +826,43 @@ class TestBatch:
         width = max(1, _BLOCK_CELLS // n)
         reps = 2 * width + width // 2 + 1
         tiled = simulate_batch(n, Fraction(1, 2), law, reps, 17)
+        tiled_nu1 = singleton_counts(n, Fraction(1, 2), reps, 17)
         monkeypatch.setattr(walk_engine, "_TILE_CELLS", _BLOCK_CELLS)
         whole = simulate_batch(n, Fraction(1, 2), law, reps, 17)
-        assert tiled.s_check.tobytes() == whole.s_check.tobytes()
-        assert np.array_equal(tiled.nu1, whole.nu1)
+        assert tiled.tobytes() == whole.tobytes()
+        assert np.array_equal(tiled_nu1, singleton_counts(n, Fraction(1, 2), reps, 17))
 
     def test_memory_is_bounded_by_the_tile(self):
         # a tile's arrays come to about a dozen float64 arrays of _TILE_CELLS
         # cells; a whole block of _BLOCK_CELLS cells holds 16 times as many
         law = StepLaw.pareto_symmetric(Fraction(3, 2))
         reps = 2 * (_BLOCK_CELLS // 1000) + 5
-        simulate_batch(1000, Fraction(1, 2), law, 1, 5)  # lazy imports stay out of the trace
-        tracemalloc.start()
-        try:
-            simulate_batch(1000, Fraction(1, 2), law, reps, 5, census=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * _TILE_CELLS * 8
+        for run in (lambda r: simulate_batch(1000, Fraction(1, 2), law, r, 5),
+                    lambda r: singleton_counts(1000, Fraction(1, 2), r, 5)):
+            run(1)  # lazy imports stay out of the trace
+            tracemalloc.start()
+            try:
+                run(reps)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 16 * _TILE_CELLS * 8
 
     def test_memory_does_not_grow_with_reps(self):
         law = StepLaw.pareto_symmetric(Fraction(3, 2))
         width = _BLOCK_CELLS // 1000
 
-        def peak(reps):
+        def peak(run, reps):
             tracemalloc.start()
             try:
-                simulate_batch(1000, Fraction(1, 2), law, reps, 5, census=True)
+                run(reps)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        assert peak(20 * width) <= 1.5 * peak(2 * width)
+        for run in (lambda r: simulate_batch(1000, Fraction(1, 2), law, r, 5),
+                    lambda r: singleton_counts(1000, Fraction(1, 2), r, 5)):
+            assert peak(run, 20 * width) <= 1.5 * peak(run, 2 * width)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -851,3 +871,9 @@ class TestBatch:
             simulate_batch(5, Fraction(1, 2), StepLaw.dirac(1), 0, 0)
         with pytest.raises(ValueError):
             simulate_batch(5, 2, StepLaw.dirac(1), 10, 0)
+        with pytest.raises(ValueError):
+            singleton_counts(0, Fraction(1, 2), 10, 0)
+        with pytest.raises(ValueError):
+            singleton_counts(5, Fraction(1, 2), 0, 0)
+        with pytest.raises(ValueError):
+            singleton_counts(5, 2, 10, 0)
