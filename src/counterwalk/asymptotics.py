@@ -15,11 +15,9 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterator
 
-from .eulerian import delta_moment, odd_count_pmf
-
-Number = Union[int, float, Fraction]
+from .eulerian import Number, _probability, delta_moment, odd_count_pmf
 
 
 def _frac(x: Number, name: str) -> Fraction:
@@ -27,13 +25,6 @@ def _frac(x: Number, name: str) -> Fraction:
         return Fraction(x)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{name} must be a rational number") from exc
-
-
-def _closed01(p: Number) -> Fraction:
-    p = _frac(p, "p")
-    if not 0 <= p <= 1:
-        raise ValueError("innovation probability must lie in [0, 1]")
-    return p
 
 
 def _open01(p: Number, allow_one: bool = False) -> Fraction:
@@ -94,7 +85,7 @@ def beta_remainders(k: int, b_k: Number, rho: Number) -> tuple[Number, Number]:
 
 def velocity(p: Number, m1: Number) -> Fraction:
     """Asymptotic speed ``p * m1 / (2 - p)`` of the counterbalanced walk."""
-    p = _closed01(p)
+    p = _probability(p)
     return p * _frac(m1, "m1") / (2 - p)
 
 
@@ -153,7 +144,7 @@ def exact_mean(n: int, p: Number, m1: Number) -> Fraction:
     """
     if n < 1:
         raise ValueError("horizon must be >= 1")
-    p = _closed01(p)
+    p = _probability(p)
     m1 = _frac(m1, "m1")
     a, b = p.numerator, p.denominator
     num = 1
@@ -342,34 +333,24 @@ def delta_sq_rate(p: Number) -> Fraction:
     return p / (1 - p) * series
 
 
-@dataclass(frozen=True)
-class LimitConstants:
-    """All closed-form constants for one ``(p, mu)`` pair.
-
-    Fields that need a finite second moment or ``p`` strictly inside
-    (0, 1) are ``None`` when unavailable.
-    """
-
-    velocity: Fraction | None
-    clt_variance: Fraction | None
-    nu1_variance: Fraction
-    rho: Fraction | None
-    sigma_sq: dict[int, Fraction] | None
-    yule_simon: dict[int, Fraction] | None
-
-
-def limit_constants(p: Number, m1: Number | None, m2: Number | None, kmax: int = 8) -> LimitConstants:
-    """Evaluate every available constant; ``p`` must lie in (0, 1]."""
+def limit_constants(p: Number, m1: Number | None, m2: Number | None, kmax: int = 8) -> dict[str, Fraction]:
+    """Every constant defined at ``p`` in (0, 1] and the given moments, by the
+    name and in the order `counterwalk limits` prints them: ``velocity``
+    (needs ``m1``), ``clt_variance`` (needs ``m1`` and ``m2``),
+    ``nu1_clt_variance``, and for ``p < 1`` ``rho``, ``sigma_sq_k`` (needs
+    both moments) and ``yule_simon_k`` for ``k = 1 .. kmax``."""
     p = _open01(p, allow_one=True)
-    m1 = None if m1 is None else _frac(m1, "m1")
-    m2 = None if m2 is None else _frac(m2, "m2")
-    vel = None if m1 is None else velocity(p, m1)
-    clt = None if (m1 is None or m2 is None) else clt_variance(p, m1, m2)
-    rho = sigma = ys = None
+    out = {}
+    if m1 is not None:
+        out["velocity"] = velocity(p, m1)
+    if m1 is not None and m2 is not None:
+        m1, m2 = _frac(m1, "m1"), _frac(m2, "m2")
+        out["clt_variance"] = clt_variance(p, m1, m2)
+    out["nu1_clt_variance"] = nu1_clt_variance(p)
     if p < 1:
-        rho = rho_of(p)
+        rho = out["rho"] = rho_of(p)
         shells = list(zip(range(1, kmax + 1), _betas(rho)))
-        ys = {k: rho * b for k, b in shells}
-        if m1 is not None and m2 is not None:
-            sigma = {k: _sigma_sq(k, p, m1, m2, b) for k, b in shells}
-    return LimitConstants(vel, clt, nu1_clt_variance(p), rho, sigma, ys)
+        if "clt_variance" in out:
+            out.update((f"sigma_sq_{k}", _sigma_sq(k, p, m1, m2, b)) for k, b in shells)
+        out.update((f"yule_simon_{k}", rho * b) for k, b in shells)
+    return out

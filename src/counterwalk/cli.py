@@ -238,25 +238,11 @@ def _cmd_limits(args) -> int:
     kmax = 8 if args.kmax is None else args.kmax
     if kmax < 1:
         raise CliError("--kmax must be >= 1")
-    constants = asym.limit_constants(p, law.m1, law.m2, kmax=kmax)
     comment = _comment_line(None, "limits", p=p, mu=law.spec_string(), kmax=kmax)
     lines = ["quantity,exact,decimal", comment]
-
-    def add(name: str, value: Fraction | None) -> None:
-        if value is not None:
-            with _float_range(f"the constant {name}"):
-                lines.append(f"{name},{value},{float(value)!r}")
-
-    add("velocity", constants.velocity)
-    add("clt_variance", constants.clt_variance)
-    add("nu1_clt_variance", constants.nu1_variance)
-    add("rho", constants.rho)
-    if constants.sigma_sq is not None:
-        for k in sorted(constants.sigma_sq):
-            add(f"sigma_sq_{k}", constants.sigma_sq[k])
-    if constants.yule_simon is not None:
-        for k in sorted(constants.yule_simon):
-            add(f"yule_simon_{k}", constants.yule_simon[k])
+    for name, value in asym.limit_constants(p, law.m1, law.m2, kmax=kmax).items():
+        with _float_range(f"the constant {name}"):
+            lines.append(f"{name},{value},{float(value)!r}")
     _emit(lines, args.out)
     return 0
 

@@ -22,6 +22,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Union
 
 Value = Union[int, Fraction]
+Number = Union[int, float, Fraction]
 
 #: Rows up to this index are memoised.  Past it two rows are kept: the last
 #: one asked for and the largest one built so far, and a request starts from
@@ -134,6 +135,17 @@ def eulerian_number_by_sum(n: int, k: int) -> int:
         total += -term if j & 1 else term
         binom = binom * (n + 1 - j) // (j + 1)
     return total
+
+
+def _probability(p: Number) -> Fraction:
+    """The innovation probability ``p`` as an exact rational in [0, 1]."""
+    try:
+        p = Fraction(p)
+    except (ValueError, TypeError, OverflowError):
+        raise ValueError(f"innovation probability must be a rational number, got {p!r}") from None
+    if not 0 <= p <= 1:
+        raise ValueError("innovation probability must lie in [0, 1]")
+    return p
 
 
 def _as_exact(x: Value) -> Value:

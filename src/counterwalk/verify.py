@@ -20,17 +20,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
-from .eulerian import ExactPmf
+from .eulerian import ExactPmf, Number, _probability
 
 if TYPE_CHECKING:
     import numpy as np
 
     from .walk_engine import StepLaw
-
-Number = Union[int, float, Fraction]
 
 #: KS acceptance band multiplier (approximately the 1% asymptotic level).
 KS_BAND = 1.63
@@ -107,9 +104,7 @@ def brute_force_walk_pmf(n: int, p: Number, law: StepLaw) -> ExactPmf:
     c = law.pmf.values[-1]
     if any(abs(v) != abs(c) for v in law.pmf.values):
         raise ValueError("walk oracle needs a step law on {+c, -c}")
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("innovation probability must lie in [0, 1]")
+    p = _probability(p)
 
     # w[j]: weight of j steps +c among the first m, over s * (b s)**(m-1) * (m-1)!
     a, b = p.numerator, p.denominator

@@ -22,7 +22,7 @@ and a block computed in tiles of consecutive replicas draws exactly what it
 draws whole, so the tile size changes no value.
 Lattice laws (``rademacher``, ``dirac``) are simulated as int64 multiples of
 their lattice step, so their sums are exact; float laws finish their sums
-correctly rounded (the value `math.fsum` returns), by exact integer binning
+as the exact weighted sum over trees, rounded once, by exact integer binning
 (`_float_total`), and compensate their partial sums.
 
 numpy is imported by the functions that draw or reduce, not by the module:
@@ -36,15 +36,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable
 
-from .eulerian import ExactPmf, _as_exact
+from .eulerian import ExactPmf, Number, _as_exact, _probability
 from .replication import child_seed
 
 if TYPE_CHECKING:
     import numpy as np
-
-Number = Union[int, float, Fraction]
 
 
 @dataclass(frozen=True)
@@ -97,13 +95,10 @@ class StepLaw:
         return f"{self.kind}:{','.join(map(str, self.params))}" if self.params else self.kind
 
     @property
-    def lattice_step(self) -> Fraction | None:
-        """Step of the lattice an exact law lives on; ``None`` for float laws."""
-        if self.kind == "rademacher":
-            return Fraction(1)
-        if self.kind == "dirac":
-            return self.params[0]
-        return None
+    def lattice_step(self) -> int | Fraction | None:
+        """Step of the lattice an exact law lives on, its pmf's largest value
+        (``c`` of ``{-c, +c}`` or of ``dirac:c``); ``None`` for float laws."""
+        return None if self.pmf is None else self.pmf.values[-1]
 
     @property
     def exact(self) -> bool:
@@ -288,18 +283,10 @@ def _tiles(seed: int, n: int, p: float, reps: int, reduce: Callable, dtype) -> n
     return out
 
 
-def _prob(p: Number) -> float:
-    """The innovation probability ``p`` as a float, once it lies in [0, 1]."""
-    p = Fraction(p)
-    if not 0 <= p <= 1:
-        raise ValueError("innovation probability must lie in [0, 1]")
-    return float(p)
-
-
 def _total(law: StepLaw, a: np.ndarray, weights: np.ndarray) -> Number:
     """``sum(weights * a)`` for integer ``weights``: exact for lattice laws
-    (``a`` counts lattice steps); for float laws correctly rounded (the value
-    `math.fsum` returns), by exact integer binning (`_float_total`)."""
+    (``a`` counts lattice steps); for float laws the exact sum rounded once,
+    by exact integer binning (`_float_total`)."""
     if law.exact:
         return _as_exact(law.lattice_step * int(a @ weights))
     return _float_total(a, weights)
@@ -316,9 +303,11 @@ def _float_total(a: np.ndarray, weights: np.ndarray) -> float:
     summed into the bin of ``e`` with `np.bincount`.  A bin's float64 sum
     stays exact while ``sum(|weights|)`` stays below 2**35.  The bins are
     then combined in Python integers and divided once, correctly rounded.
-    Equals `math.fsum` of the products wherever that returns a value; an
-    exact sum beyond the float range raises `OverflowError`, and a
-    non-finite input gets exactly `math.fsum`'s value or error.
+    The result is the exact ``sum(w * a)`` rounded once, which is
+    `math.fsum` of each value repeated ``|w|`` times with ``w``'s sign, not
+    `math.fsum` of the rounded products ``a * w``; an exact sum beyond the
+    float range raises `OverflowError`, and a non-finite input gets exactly
+    the value or error of `math.fsum` of the products.
     """
     import numpy as np
 
@@ -445,7 +434,7 @@ def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
     if n < 1:
         raise ValueError("horizon must be >= 1")
     rng, steps = _streams(seed)
-    (eps,), (root,), (odd,) = _tile(rng, n, _prob(p), 1)
+    (eps,), (root,), (odd,) = _tile(rng, n, float(_probability(p)), 1)
     i_n = int(eps.sum())
     x = law.sample_units(steps, i_n) if law.exact else law.sample_batch(steps, i_n)
     tree = (np.cumsum(eps) - 1)[root]
@@ -518,7 +507,7 @@ def simulate_batch(n: int, p: Number, law: StepLaw, reps: int, seed: int) -> np.
         x = law.sample_batch(steps, delta.size)
         return np.bincount(cells // n, weights=delta * x, minlength=w)
 
-    return _tiles(seed, n, _prob(p), reps, final, np.float64)
+    return _tiles(seed, n, float(_probability(p)), reps, final, np.float64)
 
 
 def singleton_counts(n: int, p: Number, reps: int, seed: int) -> np.ndarray:
@@ -534,4 +523,4 @@ def singleton_counts(n: int, p: Number, reps: int, seed: int) -> np.ndarray:
         sizes = np.bincount(root.ravel(), minlength=root.size)
         return (sizes == 1).reshape(root.shape).sum(axis=1)
 
-    return _tiles(seed, n, _prob(p), reps, singles, np.int64)
+    return _tiles(seed, n, float(_probability(p)), reps, singles, np.int64)

@@ -412,27 +412,35 @@ class TestShapeSeries:
 class TestLimitConstants:
     def test_interior_point(self):
         constants = limit_constants(HALF, 1, 1)
-        assert constants.velocity == Fraction(1, 3)
-        assert constants.clt_variance == Fraction(4, 9)
-        assert constants.nu1_variance == Fraction(5, 18)
-        assert constants.rho == 2
-        assert constants.sigma_sq[2] == 0
-        assert constants.yule_simon[1] == Fraction(2, 3)
+        assert constants["velocity"] == Fraction(1, 3)
+        assert constants["clt_variance"] == Fraction(4, 9)
+        assert constants["nu1_clt_variance"] == Fraction(5, 18)
+        assert constants["rho"] == 2
+        assert constants["sigma_sq_2"] == 0
+        assert constants["yule_simon_1"] == Fraction(2, 3)
+
+    def test_keys_come_in_printed_order(self):
+        assert list(limit_constants(HALF, 1, 1, kmax=2)) == [
+            "velocity", "clt_variance", "nu1_clt_variance", "rho",
+            "sigma_sq_1", "sigma_sq_2", "yule_simon_1", "yule_simon_2",
+        ]
 
     def test_one_pass_matches_per_size_lookups(self):
         for p in (Fraction(1, 4), Fraction(2, 7), HALF, Fraction(3, 4), Fraction(99, 100)):
             for m1, m2 in _MOMENT_PAIRS:
                 constants = limit_constants(p, m1, m2, kmax=40)
-                assert constants.sigma_sq == {k: sigma_sq_k(k, p, m1, m2) for k in range(1, 41)}
-                assert constants.yule_simon == {k: yule_simon_pmf(k, p) for k in range(1, 41)}
+                for k in range(1, 41):
+                    assert constants[f"sigma_sq_{k}"] == sigma_sq_k(k, p, m1, m2)
+                    assert constants[f"yule_simon_{k}"] == yule_simon_pmf(k, p)
+                assert "sigma_sq_41" not in constants and "yule_simon_41" not in constants
 
     def test_pure_innovation_point(self):
         constants = limit_constants(1, 0, 1)
-        assert constants.clt_variance == 1
-        assert constants.rho is None
-        assert constants.sigma_sq is None and constants.yule_simon is None
+        assert constants["clt_variance"] == 1
+        assert list(constants) == ["velocity", "clt_variance", "nu1_clt_variance"]
 
     def test_heavy_tail_missing_moments(self):
         constants = limit_constants(HALF, 0, None)
-        assert constants.clt_variance is None
-        assert constants.velocity == 0
+        assert "clt_variance" not in constants
+        assert constants["velocity"] == 0
+        assert not any(name.startswith("sigma_sq_") for name in constants)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -348,6 +349,24 @@ class TestLimitsCommand:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+    @pytest.mark.parametrize("argv,digest", [
+        ("--p 1/2 --mu dirac:1", "e5af0c51d3b34a5470843bbbe492cb164c065019d148b99b1592642ca674e8f4"),
+        ("--p 1 --mu gauss:0,1", "1d05ba98be13fe5a0a1bf920eba80591d1f1ea42aa79e5ca51bcfbb140addb38"),
+        ("--p 1/2 --mu pareto:1", "927a6fc488147520cf0e67adc51b698b72deb62201e106ac35fbb8bfc1423f92"),
+        ("--p 1/3 --mu uniform --kmax 12",
+         "86220e235c04824eb0e2859e045c4f25b2ceb47297959cdaa3decf8399905577"),
+        ("--p 3/4 --mu pareto:3", "a5b2e4e341f32548343a2d7ed6620b7bb03e97bf136fae38dca3744785adde42"),
+    ], ids=["dirac", "no-forest", "no-m1", "uniform-kmax", "pareto"])
+    def test_constant_tables_are_pinned(self, capsys, argv, digest):
+        # sha256 of stdout and stderr as printed when the table's names and
+        # order were spelled out in the handler, one field at a time
+        code, out, err = run_cli(capsys, "limits", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert hashlib.sha256(err.encode()).hexdigest() == self.EMPTY
+
     STABLE = ("--alpha", "1.5", "--p", "1/2", "--theta", "1.0")
 
     def test_stable_honors_out_given_before_stable(self, capsys, tmp_path):
@@ -601,3 +620,29 @@ def test_commands_that_import_their_own_layers(capsys, argv, digest):
     assert code == 0 and fresh.stdout == out
     if digest is not None:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def readme_commands():
+    """Every ``counterwalk ...`` line of README's bash blocks, as argv: line
+    continuations joined, ``#`` comments cut, optional ``[ ]`` opened."""
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(path, encoding="utf-8") as fh:
+        blocks = re.findall(r"```bash\n(.*?)```", fh.read(), re.S)
+    commands = []
+    for block in blocks:
+        for line in block.replace("\\\n", " ").splitlines():
+            words = line.partition("#")[0].replace("[", " ").replace("]", " ").split()
+            if words[:1] == ["counterwalk"]:
+                commands.append(words[1:])
+    return commands
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_commands_parse(argv):
+    args = cli.build_parser().parse_args(argv)
+    assert callable(args.fn)
+
+
+def test_readme_shows_every_subcommand():
+    assert {argv[0] for argv in readme_commands()} == {
+        "simulate", "exact", "table", "sample", "limits", "verify"}

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -358,3 +359,45 @@ class TestExactPmf:
         assert pmf.mean() == 1
         assert pmf.moment(2) == 3
         assert pmf.abs_moment(1) == 1
+
+
+class TestProbabilityRule:
+    """Every entry point that takes an innovation probability checks it
+    through `eulerian._probability`, so all of them refuse the same values
+    with the same error."""
+
+    @staticmethod
+    def entry_points():
+        from counterwalk.asymptotics import exact_mean, velocity
+        from counterwalk.verify import brute_force_walk_pmf
+        from counterwalk.walk_engine import StepLaw, simulate, simulate_batch, singleton_counts
+
+        law = StepLaw.dirac(1)
+        return {
+            "simulate": lambda p: simulate(5, p, law, 0),
+            "simulate_batch": lambda p: simulate_batch(5, p, law, 2, 0),
+            "singleton_counts": lambda p: singleton_counts(5, p, 2, 0),
+            "brute_force_walk_pmf": lambda p: brute_force_walk_pmf(5, p, law),
+            "velocity": lambda p: velocity(p, 1),
+            "exact_mean": lambda p: exact_mean(5, p, 1),
+        }
+
+    @pytest.mark.parametrize("name", ["simulate", "simulate_batch", "singleton_counts",
+                                      "brute_force_walk_pmf", "velocity", "exact_mean"])
+    @pytest.mark.parametrize("p", [Fraction(-1, 10), Fraction(11, 10), None],
+                             ids=["-1/10", "11/10", "None"])
+    def test_rejects_values_outside_the_unit_interval(self, name, p):
+        call = self.entry_points()[name]
+        message = "must lie in [0, 1]" if p is not None else "must be a rational number"
+        with pytest.raises(ValueError, match=re.escape(f"innovation probability {message}")):
+            call(p)
+        call(Fraction(1, 2))
+
+    @pytest.mark.parametrize("p", [0, 1, 0.25, Fraction(1, 3), "1/2"])
+    def test_accepts_the_closed_interval(self, p):
+        assert eulerian._probability(p) == Fraction(p)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, "x", 1j])
+    def test_non_rational_values_are_value_errors(self, p):
+        with pytest.raises(ValueError, match="innovation probability must be a rational number"):
+            eulerian._probability(p)

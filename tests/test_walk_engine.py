@@ -183,6 +183,12 @@ class TestStepLaw:
     def test_exact_iff_lattice_iff_finite_support(self, spec):
         law = parse_mu_spec(spec)
         assert law.exact == (law.lattice_step is not None) == (law.pmf is not None)
+        step = {"rademacher": 1, "dirac:1/2": Fraction(1, 2)}.get(spec)
+        assert law.lattice_step == step
+        # the sampler's units agree with the step the pmf gives
+        if law.exact:
+            values = law.sample_batch(np.random.default_rng(0), 100).tolist()
+            assert set(values) <= {float(v) for v in law.pmf.values}
 
     def test_finite_laws_carry_their_pmf(self):
         assert StepLaw.rademacher().pmf == ExactPmf((-1, 1), (1, 1), 2)
