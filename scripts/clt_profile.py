@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -35,16 +34,16 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    p = Fraction(args.p)
-    law = parse_mu_spec(args.mu)
-    if law.m1 is None or law.m2 is None:
-        parser.error("the chosen step law needs two finite moments")
-    if p == 0:
-        parser.error("the diffusive limit needs p > 0")
-
-    target_var = float(clt_variance(p, law.m1, law.m2))
-    drift = float(velocity(p, law.m1))
-    finals = simulate_batch(args.n, p, law, args.reps, args.seed)
+    try:
+        law = parse_mu_spec(args.mu)
+        if law.m1 is None or law.m2 is None:
+            parser.error("the chosen step law needs two finite moments")
+        # refuses a p that is not a rational number in (0, 1]: the diffusive limit needs p > 0
+        target_var = float(clt_variance(args.p, law.m1, law.m2))
+    except ValueError as exc:
+        parser.error(str(exc))
+    drift = float(velocity(args.p, law.m1))
+    finals = simulate_batch(args.n, args.p, law, args.reps, args.seed)
     y = (finals - drift * args.n) / math.sqrt(args.n)
 
     lines = ["quantile,empirical,gaussian"]

@@ -31,7 +31,10 @@ def main() -> int:
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 
-    law = parse_mu_spec(args.mu)
+    try:
+        law = parse_mu_spec(args.mu)
+    except ValueError as exc:
+        parser.error(str(exc))
     if law.m1 is None:
         parser.error("the chosen step law has no mean; velocity is undefined")
 

@@ -17,30 +17,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .eulerian import Number, _probability, delta_moment, odd_count_pmf
-
-
-def _frac(x: Number, name: str) -> Fraction:
-    try:
-        return Fraction(x)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{name} must be a rational number") from exc
+from .eulerian import Number, _probability, _rational, delta_moment, odd_count_pmf
 
 
 def _open01(p: Number, allow_one: bool = False) -> Fraction:
-    p = _frac(p, "p")
-    if allow_one:
-        if not 0 < p <= 1:
-            raise ValueError("innovation probability must lie in (0, 1]")
-    elif not 0 < p < 1:
-        raise ValueError("innovation probability must lie strictly in (0, 1)")
+    p = _probability(p)
+    if p == 0 or (p == 1 and not allow_one):
+        raise ValueError("innovation probability must lie in (0, 1]" if allow_one
+                         else "innovation probability must lie strictly in (0, 1)")
     return p
 
 
 def rho_of(p: Number) -> Fraction:
     """The reinforcement exponent ``1 / (1 - p)``."""
-    p = _frac(p, "p")
-    if p >= 1:
+    p = _probability(p)
+    if p == 1:
         raise ValueError("rho is finite only for p < 1")
     return 1 / (1 - p)
 
@@ -49,7 +40,7 @@ def rising_factorial(x: Number, k: int) -> Fraction:
     """``x (x+1) ... (x+k-1)`` with the empty product equal to 1."""
     if k < 0:
         raise ValueError("order must be >= 0")
-    x = _frac(x, "x")
+    x = _rational(x, "x")
     if x <= 0:
         raise ValueError("base must be > 0")
     out = Fraction(1)
@@ -86,7 +77,7 @@ def beta_remainders(k: int, b_k: Number, rho: Number) -> tuple[Number, Number]:
 def velocity(p: Number, m1: Number) -> Fraction:
     """Asymptotic speed ``p * m1 / (2 - p)`` of the counterbalanced walk."""
     p = _probability(p)
-    return p * _frac(m1, "m1") / (2 - p)
+    return p * _rational(m1, "m1") / (2 - p)
 
 
 def clt_variance(p: Number, m1: Number, m2: Number) -> Fraction:
@@ -95,7 +86,7 @@ def clt_variance(p: Number, m1: Number, m2: Number) -> Fraction:
     no-innovation regime has a different (non-Gaussian) limit and is
     rejected."""
     p = _open01(p, allow_one=True)
-    m1, m2 = _frac(m1, "m1"), _frac(m2, "m2")
+    m1, m2 = _rational(m1, "m1"), _rational(m2, "m2")
     if m2 < m1 * m1:
         raise ValueError("m2 must be >= m1^2")
     drift = p * m1 / (2 - p)
@@ -122,7 +113,7 @@ def sigma_sq_k(k: int, p: Number, m1: Number, m2: Number) -> Fraction:
     size-1 trees carry the drift correction, size-2 trees contribute
     nothing, and size ``k >= 3`` contributes ``k p m2 B(k,1+rho)/(3(1-p))``."""
     b_k = beta_of_k(k, p)  # checks k and p
-    return _sigma_sq(k, _frac(p, "p"), _frac(m1, "m1"), _frac(m2, "m2"), b_k)
+    return _sigma_sq(k, _rational(p, "p"), _rational(m1, "m1"), _rational(m2, "m2"), b_k)
 
 
 def _sigma_sq(k: int, p: Fraction, m1: Fraction, m2: Fraction, b_k: Fraction) -> Fraction:
@@ -145,7 +136,7 @@ def exact_mean(n: int, p: Number, m1: Number) -> Fraction:
     if n < 1:
         raise ValueError("horizon must be >= 1")
     p = _probability(p)
-    m1 = _frac(m1, "m1")
+    m1 = _rational(m1, "m1")
     a, b = p.numerator, p.denominator
     num = 1
     den = 1
@@ -274,7 +265,7 @@ def sigma_sq_series(p: Number, m1: Number, m2: Number, kmax: int = 10_000) -> di
     same partial sum and, plus ``tail``, should match ``m2 / (3 - 2p)``.
     """
     p = _open01(p)
-    m1f, m2f = float(_frac(m1, "m1")), float(_frac(m2, "m2"))
+    m1f, m2f = float(_rational(m1, "m1")), float(_rational(m2, "m2"))
     rho = float(rho_of(p))
     pf = float(p)
     coef = pf * m2f / (3.0 * (1.0 - pf))
@@ -344,7 +335,7 @@ def limit_constants(p: Number, m1: Number | None, m2: Number | None, kmax: int =
     if m1 is not None:
         out["velocity"] = velocity(p, m1)
     if m1 is not None and m2 is not None:
-        m1, m2 = _frac(m1, "m1"), _frac(m2, "m2")
+        m1, m2 = _rational(m1, "m1"), _rational(m2, "m2")
         out["clt_variance"] = clt_variance(p, m1, m2)
     out["nu1_clt_variance"] = nu1_clt_variance(p)
     if p < 1:

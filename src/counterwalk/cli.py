@@ -75,20 +75,17 @@ def _emit(lines: list[str], out: str | None) -> None:
         raise OutputError(f"cannot write {out!r}: {exc}") from exc
 
 
-def _parse_fraction(text: str, name: str) -> Fraction:
-    from fractions import Fraction
+def _parse_prob(text: str) -> Fraction:
+    from .eulerian import _probability, _rational
 
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        raise CliError(f"{name} must be a rational number like 1/2 or 0.25, got {text!r}") from None
-
-
-def _parse_prob(text: str, name: str = "--p") -> Fraction:
-    p = _parse_fraction(text, name)
-    if not 0 <= p <= 1:
-        raise CliError(f"{name} must lie in [0, 1], got {text}")
-    return p
+        p = _rational(text, "--p")
+    except ValueError:
+        raise CliError(f"--p must be a rational number like 1/2 or 0.25, got {text!r}") from None
+    try:
+        return _probability(p)
+    except ValueError:
+        raise CliError(f"--p must lie in [0, 1], got {text}") from None
 
 
 def _parse_law(text: str):

@@ -137,12 +137,18 @@ def eulerian_number_by_sum(n: int, k: int) -> int:
     return total
 
 
-def _probability(p: Number) -> Fraction:
-    """The innovation probability ``p`` as an exact rational in [0, 1]."""
+def _rational(x: Number | str, what: str) -> Fraction:
+    """``x`` as an exact rational, the one parser of every exact input: anything
+    else (``1/0``, NaN, infinities) is a `ValueError` naming ``what``."""
     try:
-        p = Fraction(p)
-    except (ValueError, TypeError, OverflowError):
-        raise ValueError(f"innovation probability must be a rational number, got {p!r}") from None
+        return Fraction(x)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{what} must be a rational number, got {x!r}") from None
+
+
+def _probability(p: Number | str) -> Fraction:
+    """The innovation probability ``p`` as an exact rational in [0, 1]."""
+    p = _rational(p, "innovation probability")
     if not 0 <= p <= 1:
         raise ValueError("innovation probability must lie in [0, 1]")
     return p

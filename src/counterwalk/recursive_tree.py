@@ -1,7 +1,5 @@
 """Random recursive / increasing trees: samplers of the odd-vertex count.
 
-A tree on vertices ``1..k`` is given by its parent sequence
-``(par(2), ..., par(k))`` with ``par(j) < j``; vertex 1 is the root.
 The simulator reads each tree only through its size and its even-minus-odd
 count (`walk_engine.WalkRun.trees`), which tell the shapes of size <= 3
 apart.  The exact parity laws of these trees live in `eulerian`.  Random

@@ -38,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable
 
-from .eulerian import ExactPmf, Number, _as_exact, _probability
+from .eulerian import ExactPmf, Number, _as_exact, _probability, _rational
 from .replication import child_seed
 
 if TYPE_CHECKING:
@@ -50,8 +50,9 @@ class StepLaw:
     """Step distribution with sampler and exact moments where they exist.
 
     ``m1``/``m2`` are present iff analytically finite, as exact rationals.
-    ``pmf`` is set only for finitely supported laws (it feeds the exact
-    walk oracle).
+    ``pmf`` is set only for finitely supported laws, and such a law is its
+    pmf: the walk oracle, `lattice_step` and `sample_units` all read it, so
+    a law on ``{-c, +c}`` needs no sampler of its own.
     """
 
     kind: str
@@ -66,7 +67,7 @@ class StepLaw:
 
     @classmethod
     def dirac(cls, c: Number) -> "StepLaw":
-        c = _float_sized(Fraction(c), "dirac value")
+        c = _float_sized(c, "dirac value")
         return cls("dirac", (c,), c, c * c, ExactPmf((_as_exact(c),), (1,), 1))
 
     @classmethod
@@ -75,15 +76,15 @@ class StepLaw:
 
     @classmethod
     def gaussian(cls, mean: Number, variance: Number) -> "StepLaw":
-        mean = _float_sized(Fraction(mean), "gaussian mean")
-        variance = _float_sized(Fraction(variance), "gaussian variance")
+        mean = _float_sized(mean, "gaussian mean")
+        variance = _float_sized(variance, "gaussian variance")
         if variance < 0:
             raise ValueError("gaussian variance must be >= 0")
         return cls("gauss", (mean, variance), mean, variance + mean * mean, None)
 
     @classmethod
     def pareto_symmetric(cls, alpha: Number) -> "StepLaw":
-        alpha = _float_sized(Fraction(alpha), "pareto exponent")
+        alpha = _float_sized(alpha, "pareto exponent")
         if float(alpha) <= 0:  # also refuses an exponent that rounds to 0.0
             raise ValueError("pareto exponent must be > 0")
         m1 = Fraction(0) if alpha > 1 else None
@@ -106,14 +107,20 @@ class StepLaw:
         return self.lattice_step is not None
 
     def sample_units(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """``size`` draws of an exact law as int64 multiples of `lattice_step`."""
+        """``size`` draws of an exact law as int64 multiples of `lattice_step`:
+        a uniform integer below ``pmf.denom`` indexes the table that repeats
+        each unit by its weight, which inverts the pmf by a gather, not a search."""
         import numpy as np
 
-        if self.kind == "rademacher":
-            return 2 * rng.integers(0, 2, size=size) - 1
-        if self.kind == "dirac":
+        if self.pmf is None:
+            raise ValueError(f"{self.kind} is not a lattice law")
+        if len(self.pmf.values) == 1:  # one unit, dirac:0 too; `integers(0, 1)` would draw nothing
             return np.ones(size, dtype=np.int64)
-        raise ValueError(f"{self.kind} is not a lattice law")
+        units, rest = zip(*(divmod(v, self.lattice_step) for v in self.pmf.values))
+        if any(rest):
+            raise ValueError(f"{self.kind} does not live on the lattice of its largest value")
+        table = np.repeat(np.array(units, dtype=np.int64), self.pmf.weights)
+        return table[rng.integers(0, self.pmf.denom, size=size)]
 
     def sample_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` draws as float64 (an exact law's draws are its lattice
@@ -143,9 +150,9 @@ class StepLaw:
         return np.copysign(x, u[:, 1], out=x)
 
 
-def _float_sized(x: Fraction, name: str) -> Fraction:
-    """``x``, once its float64 value is known to be finite: the samplers
-    draw in float64."""
+def _float_sized(x: Number | str, name: str) -> Fraction:
+    """``x`` as an exact rational with a finite float64 value: the samplers draw in float64."""
+    x = _rational(x, name)
     try:
         float(x)
     except OverflowError:
@@ -181,8 +188,8 @@ def parse_mu_spec(spec: str) -> StepLaw:
         )
     make, count, what = _GRAMMAR[kind]
     try:
-        params = [Fraction(field.strip()) for field in tail.split(",")] if tail else []
-    except (ValueError, ZeroDivisionError):
+        params = [_rational(field, kind) for field in tail.split(",")] if tail else []
+    except ValueError:
         params = None
     try:
         if params is None or len(params) != count:

@@ -40,6 +40,14 @@ class TestExactCommands:
         assert code == 0
         assert out.strip().splitlines()[2:] == ["0,1,2", "2,1,2"]
 
+    def test_walk_oracle_of_the_zero_step_is_one_point(self, capsys):
+        # dirac:0 has lattice step 0: every path ends at 0
+        code, out, _ = run_cli(
+            capsys, "exact", "walk-oracle", "--n", "6", "--p", "1/3", "--mu", "dirac:0"
+        )
+        assert code == 0
+        assert out.strip().splitlines()[2:] == ["0,1,1"]
+
     def test_walk_oracle_bytes_are_pinned(self, capsys):
         # captured from the exhaustive enumerator that the position chain replaced
         code, out, _ = run_cli(
@@ -197,7 +205,9 @@ class TestSimulateCommand:
          "48078115c06a1ffa9714c97074624cde116b9ad0895ed93e1ab9d6a5b4e33ac4"),
         ("--n 200 --p 0 --mu uniform --reps 3 --traj-every 7",
          "bdbe04a15515863101964cef0b62e8ce40185037b72302038022830a99fbab42"),
-    ], ids=["gauss", "dirac", "rademacher", "pareto", "uniform"])
+        ("--n 400 --p 1/2 --mu dirac:0 --reps 3 --traj-every 40",
+         "7490c210ad9185d8fa94b536b5a564deeb2f63d0537de885b9bc8650357538cc"),
+    ], ids=["gauss", "dirac", "rademacher", "pareto", "uniform", "dirac0"])
     def test_bytes_are_pinned(self, capsys, argv, digest):
         # sha256 of stdout as printed when the replicas ran through a replica pool
         code, out, _ = run_cli(capsys, "simulate", *argv.split(), "--seed", "5")
@@ -569,6 +579,20 @@ def test_script_runs(script, args, header):
     out = run_python(os.path.join(os.path.dirname(SRC), "scripts", script), *args, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0] == header
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("clt_profile.py", ["--p", "1/0"], "innovation probability must be a rational number, got '1/0'"),
+    ("clt_profile.py", ["--p", "2"], "innovation probability must lie in [0, 1]"),
+    ("clt_profile.py", ["--p", "0"], "innovation probability must lie in (0, 1]"),
+    ("clt_profile.py", ["--mu", "dirac:1/0"], "invalid step-law spec 'dirac:1/0'"),
+    ("velocity_sweep.py", ["--mu", "cauchy"], "invalid step-law spec 'cauchy'"),
+])
+def test_script_reports_bad_input_as_usage_error(script, args, message):
+    # the library's ValueError becomes argparse's usage error, not a traceback
+    out = run_python(os.path.join(os.path.dirname(SRC), "scripts", script), *args, timeout=120)
+    assert (out.returncode, out.stdout) == (2, "")
+    assert f"{script}: error: {message}" in out.stderr and "Traceback" not in out.stderr
 
 
 def test_ks_check_runs_without_scipy():

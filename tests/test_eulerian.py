@@ -368,7 +368,7 @@ class TestProbabilityRule:
 
     @staticmethod
     def entry_points():
-        from counterwalk.asymptotics import exact_mean, velocity
+        from counterwalk.asymptotics import exact_mean, rho_of, velocity
         from counterwalk.verify import brute_force_walk_pmf
         from counterwalk.walk_engine import StepLaw, simulate, simulate_batch, singleton_counts
 
@@ -380,10 +380,11 @@ class TestProbabilityRule:
             "brute_force_walk_pmf": lambda p: brute_force_walk_pmf(5, p, law),
             "velocity": lambda p: velocity(p, 1),
             "exact_mean": lambda p: exact_mean(5, p, 1),
+            "rho_of": rho_of,
         }
 
     @pytest.mark.parametrize("name", ["simulate", "simulate_batch", "singleton_counts",
-                                      "brute_force_walk_pmf", "velocity", "exact_mean"])
+                                      "brute_force_walk_pmf", "velocity", "exact_mean", "rho_of"])
     @pytest.mark.parametrize("p", [Fraction(-1, 10), Fraction(11, 10), None],
                              ids=["-1/10", "11/10", "None"])
     def test_rejects_values_outside_the_unit_interval(self, name, p):
@@ -397,7 +398,33 @@ class TestProbabilityRule:
     def test_accepts_the_closed_interval(self, p):
         assert eulerian._probability(p) == Fraction(p)
 
-    @pytest.mark.parametrize("p", [math.nan, math.inf, "x", 1j])
+    @pytest.mark.parametrize("p", [math.nan, math.inf, "x", 1j, "1/0"])
     def test_non_rational_values_are_value_errors(self, p):
         with pytest.raises(ValueError, match="innovation probability must be a rational number"):
             eulerian._probability(p)
+
+
+class TestRationalRule:
+    """Every exact input is parsed by `eulerian._rational`, so a value that
+    is not a rational number is a `ValueError` naming the input, never a
+    `ZeroDivisionError` or an `OverflowError`."""
+
+    @staticmethod
+    def calls():
+        from counterwalk.asymptotics import clt_variance, exact_mean, velocity
+        from counterwalk.walk_engine import StepLaw
+
+        return {
+            "velocity-inf": (lambda: velocity(Fraction(1, 2), math.inf), "m1"),
+            "clt_variance-1/0": (lambda: clt_variance(Fraction(1, 2), 0, "1/0"), "m2"),
+            "exact_mean-1/0": (lambda: exact_mean(3, Fraction(1, 2), "1/0"), "m1"),
+            "dirac-inf": (lambda: StepLaw.dirac(math.inf), "dirac value"),
+            "dirac-1/0": (lambda: StepLaw.dirac("1/0"), "dirac value"),
+        }
+
+    @pytest.mark.parametrize("name", ["velocity-inf", "clt_variance-1/0", "exact_mean-1/0",
+                                      "dirac-inf", "dirac-1/0"])
+    def test_non_rational_inputs_are_value_errors(self, name):
+        call, what = self.calls()[name]
+        with pytest.raises(ValueError, match=re.escape(f"{what} must be a rational number, got ")):
+            call()

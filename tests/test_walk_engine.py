@@ -190,6 +190,27 @@ class TestStepLaw:
             values = law.sample_batch(np.random.default_rng(0), 100).tolist()
             assert set(values) <= {float(v) for v in law.pmf.values}
 
+    def test_lattice_draws_invert_the_pmf(self):
+        # a law on {-c, +c} that the grammar does not name, with weights 1/4
+        # and 3/4: the sampler reads its pmf, not its kind
+        c = Fraction(1, 2)
+        law = StepLaw("skewed", (), c / 2, c * c, ExactPmf((-c, c), (1, 3), 4))
+        u = np.random.default_rng(3).integers(0, 4, size=1000)
+        units = law.sample_units(np.random.default_rng(3), 1000)
+        assert units.tobytes() == np.where(u < 1, -1, 1).tobytes()
+        reps = 20_000
+        finals = simulate_batch(1, Fraction(1, 2), law, reps, 5)
+        values, counts = np.unique(finals, return_counts=True)
+        hist = ExactPmf.from_weights(zip(map(Fraction, values.tolist()), counts.tolist()), reps)
+        # fair signs would sit at TV 1/4 from this law
+        assert tv_distance(hist, brute_force_walk_pmf(1, Fraction(1, 2), law)) < 0.02
+
+    def test_lattice_draws_refuse_values_off_the_step(self):
+        # {-1, 2} is not a set of multiples of its largest value, the step
+        law = StepLaw("skewed", (), Fraction(1, 2), Fraction(5, 2), ExactPmf((-1, 2), (1, 1), 2))
+        with pytest.raises(ValueError, match="does not live on the lattice of its largest value"):
+            law.sample_units(np.random.default_rng(0), 10)
+
     def test_finite_laws_carry_their_pmf(self):
         assert StepLaw.rademacher().pmf == ExactPmf((-1, 1), (1, 1), 2)
         assert StepLaw.dirac(Fraction(3, 2)).pmf == ExactPmf((Fraction(3, 2),), (1,), 1)
