@@ -26,17 +26,20 @@ output I/O errors.
 
 from __future__ import annotations
 
+import itertools
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 
 from . import __version__
 
-# Start-up loads only this dispatcher (`site` has loaded `contextlib`
-# already); `build_parser` adds `argparse`, and every handler imports its
-# own layers and stdlib modules when called.  So `--help` and usage errors
-# load no layer, `exact`, `table` and `limits` (stable too) never load
-# numpy, and `simulate`, which adds `replication` and `walk_engine`, never
-# loads the acceptance suite, the verifier or the asymptotics.
+# Start-up loads only this dispatcher (`site` has loaded `contextlib` and
+# `collections` already); `build_parser` adds `argparse`, and every handler
+# imports its own layers and stdlib modules when called.  So `--help` and
+# usage errors load no layer, `exact`, `table` and `limits` (stable too)
+# load neither numpy nor OpenSSL, and `simulate`, which adds `replication`
+# and `walk_engine`, never loads the acceptance suite, the verifier or the
+# asymptotics.
 
 
 class CliError(Exception):
@@ -55,24 +58,68 @@ def _comment_line(seed: int | None, command: str, /, **options) -> str:
     """The comment line of a CSV output: package version, seed, and a hash
     of the canonical ``command[k=v,...]`` (options sorted, ``None`` dropped).
     ``seed`` is positional-only so that it can also be hashed as an option."""
-    import hashlib
-
     body = ",".join(f"{k}={v}" for k, v in sorted(options.items()) if v is not None)
-    digest = hashlib.sha256(f"{command}[{body}]".encode()).hexdigest()[:12]
+    digest = _sha256()(f"{command}[{body}]".encode()).hexdigest()[:12]
     seed_part = f" seed={seed}" if seed is not None else ""
     return f"# counterwalk={__version__}{seed_part} config={digest}"
 
 
-def _emit(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _sha256():
+    """SHA-256 without OpenSSL where that saves memory: `hashlib` maps
+    OpenSSL's libcrypto, which the exact commands need nothing else from,
+    so they take CPython's built-in digest, which gives the same bytes.  A
+    process that has loaded `hashlib` already (as `numpy.random` does) uses
+    it rather than map a second library."""
+    if "hashlib" not in sys.modules:
+        for name in ("_sha2", "_sha256"):  # 3.12+, 3.10-3.11
+            try:
+                return __import__(name).sha256
+            except ImportError:  # an interpreter built without it
+                pass
+    import hashlib
+
+    return hashlib.sha256
+
+
+#: Characters `_emit` gathers per ``write``: one system call per chunk even
+#: on an unbuffered stdout (``PYTHONUNBUFFERED=1``), and one chunk in memory.
+_CHUNK = 1 << 16
+
+
+def _emit(lines: Iterable[str], out: str | None) -> None:
+    """Write ``lines``, each ended by a newline, to the file ``out`` or to
+    stdout, in chunks of about `_CHUNK` characters.  ``lines`` may be a
+    generator, so a table is never held whole; its exact integers may have
+    any number of digits, since the int-to-str digit limit (Python 3.10.7+)
+    is lifted until the last write and then restored."""
     if out is None:
-        sys.stdout.write(text)
+        _write_chunks(lines, sys.stdout)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_chunks(lines, fh)
     except OSError as exc:
         raise OutputError(f"cannot write {out!r}: {exc}") from exc
+
+
+def _write_chunks(lines: Iterable[str], fh) -> None:
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        chunk: list[str] = []
+        size = 0
+        for line in lines:
+            chunk.append(line)
+            size += len(line) + 1
+            if size >= _CHUNK:
+                fh.write("\n".join(chunk) + "\n")
+                chunk, size = [], 0
+        if chunk:
+            fh.write("\n".join(chunk) + "\n")
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def _parse_prob(text: str) -> Fraction:
@@ -143,7 +190,8 @@ def _cmd_simulate(args) -> int:
             s_check = run.as_float(run.s_check[at]).tolist()
             s_hat = run.as_float(run.s_hat[at]).tolist()
             traj.extend(f"{rep},{step},{c!r},{h!r}" for step, c, h in zip(steps, s_check, s_hat))
-    _emit(lines + traj, args.out)
+    # every replica runs before the first write, so a failing one writes nothing
+    _emit(itertools.chain(lines, traj), args.out)
     return 0
 
 
@@ -157,10 +205,10 @@ def _cmd_exact(args) -> int:
         raise CliError("--n must be >= 1")
     if args.exact_mode == "odd-pmf":
         pmf = odd_count_pmf(args.n)
-        lines = ["ell,numerator,denominator", _comment_line(None, "exact-odd-pmf", n=args.n)]
+        header = ["ell,numerator,denominator", _comment_line(None, "exact-odd-pmf", n=args.n)]
     elif args.exact_mode == "delta-pmf":
         pmf = delta_pmf(args.n)
-        lines = ["delta,numerator,denominator", _comment_line(None, "exact-delta-pmf", n=args.n)]
+        header = ["delta,numerator,denominator", _comment_line(None, "exact-delta-pmf", n=args.n)]
     else:  # walk-oracle
         from .verify import brute_force_walk_pmf
 
@@ -171,11 +219,15 @@ def _cmd_exact(args) -> int:
         except ValueError as exc:  # horizon cap or a law off {+c, -c}
             raise CapError(str(exc)) from None
         comment = _comment_line(None, "exact-walk-oracle", n=args.n, p=p, mu=law.spec_string())
-        lines = ["value,numerator,denominator", comment]
-    den = str(pmf.denom)  # one shared denominator: format it once per table
-    lines.extend(f"{v},{num},{den}" for v, num in zip(pmf.values, pmf.weights))
-    _emit(lines, args.out)
+        header = ["value,numerator,denominator", comment]
+    _emit(itertools.chain(header, _pmf_rows(pmf)), args.out)
     return 0
+
+
+def _pmf_rows(pmf) -> Iterator[str]:
+    den = str(pmf.denom)  # one shared denominator: format it once per table
+    for v, num in zip(pmf.values, pmf.weights):
+        yield f"{v},{num},{den}"
 
 
 # ---------------------------------------------------------------- table
@@ -187,18 +239,24 @@ def _cmd_table(args) -> int:
     if args.n < 0:
         raise CliError("--n must be >= 0")
     row = eulerian_row(args.n)
-    lines = ["k,value", _comment_line(None, "table-eulerian", n=args.n)]
-    if args.n == 0:
-        lines.append("-1,1")
-    else:
-        # the row is symmetric: format its first half, and give each later
-        # entry the digits of its twin <n, n-1-k>, which is line n + 1 - k
-        half = (args.n + 1) // 2
-        lines.extend(f"{k},{value}" for k, value in enumerate(row.values[:half]))
-        for k in range(half, args.n):
-            lines.append(f"{k},{lines[args.n + 1 - k].partition(',')[2]}")
-    _emit(lines, args.out)
+    header = ["k,value", _comment_line(None, "table-eulerian", n=args.n)]
+    _emit(itertools.chain(header, _eulerian_rows(row)), args.out)
     return 0
+
+
+def _eulerian_rows(row) -> Iterator[str]:
+    n = row.n
+    if n == 0:
+        yield "-1,1"
+        return
+    # the row is symmetric: format its first half, and give each later
+    # entry <n, k> the digits of its twin <n, n-1-k>
+    digits = []
+    for k in range((n + 1) // 2):
+        digits.append(str(row.values[k]))
+        yield f"{k},{digits[k]}"
+    for k in range(len(digits), n):
+        yield f"{k},{digits[n - 1 - k]}"
 
 
 # ---------------------------------------------------------------- sample
@@ -212,11 +270,9 @@ def _cmd_sample(args) -> int:
     if args.reps < 1:
         raise CliError("--reps must be >= 1")
     comment = _comment_line(args.seed, "sample-rrt", n=args.n, reps=args.reps, seed=args.seed)
-    lines = ["rep,even,odd,delta", comment]
-    for rep, odd in enumerate(sample_odd_counts(args.n, args.reps, args.seed).tolist()):
-        even = args.n - odd
-        lines.append(f"{rep},{even},{odd},{even - odd}")
-    _emit(lines, args.out)
+    odds = sample_odd_counts(args.n, args.reps, args.seed).tolist()
+    rows = (f"{rep},{args.n - odd},{odd},{args.n - 2 * odd}" for rep, odd in enumerate(odds))
+    _emit(itertools.chain(["rep,even,odd,delta", comment], rows), args.out)
     return 0
 
 
@@ -236,11 +292,13 @@ def _cmd_limits(args) -> int:
     if kmax < 1:
         raise CliError("--kmax must be >= 1")
     comment = _comment_line(None, "limits", p=p, mu=law.spec_string(), kmax=kmax)
-    lines = ["quantity,exact,decimal", comment]
-    for name, value in asym.limit_constants(p, law.m1, law.m2, kmax=kmax).items():
+    constants = asym.limit_constants(p, law.m1, law.m2, kmax=kmax).items()
+    decimals = []  # every constant fits a float before the first write
+    for name, value in constants:
         with _float_range(f"the constant {name}"):
-            lines.append(f"{name},{value},{float(value)!r}")
-    _emit(lines, args.out)
+            decimals.append(float(value))
+    rows = (f"{name},{value},{decimal!r}" for (name, value), decimal in zip(constants, decimals))
+    _emit(itertools.chain(["quantity,exact,decimal", comment], rows), args.out)
     return 0
 
 
@@ -251,17 +309,17 @@ def _cmd_limits_stable(args) -> int:
         raise CliError("--mu does not apply to limits stable")
     if args.p is None:
         raise CliError("limits stable needs --p")
-    p = _parse_prob(args.p)
-    if p == 0 or p == 1:
-        raise CliError("the stable exponent needs p strictly inside (0, 1)")
-    if not 0 < args.alpha < 2:
-        raise CliError("--alpha must lie in (0, 2)")
-    if not 0 < args.phi1 < float("inf"):
-        raise CliError("--phi1 must be finite and > 0")
+    try:
+        p = asym._open01(_parse_prob(args.p))
+    except ValueError as exc:
+        raise CliError(f"--p {args.p}: {exc}") from None
+    try:
+        spec = asym.StableSpec(args.alpha, args.phi1)
+    except ValueError as exc:
+        raise CliError(f"--alpha {args.alpha!r} --phi1 {args.phi1!r}: {exc}") from None
     kmax = 50 if args.kmax is None else args.kmax
     if kmax < 1:
         raise CliError("--kmax must be >= 1")
-    spec = asym.StableSpec(args.alpha, args.phi1)
     with _float_range(f"the exponent at --theta {args.theta!r}"):
         value, tail = asym.stable_check_exponent(args.theta, p, spec, kmax=kmax)
     lines = [

@@ -1,9 +1,12 @@
+import contextlib
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +20,98 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@contextlib.contextmanager
+def int_digit_limit(limit):
+    """Python's int-to-str digit limit set to ``limit`` (0: none) inside the block."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int-to-str digit limit")
+@pytest.mark.parametrize("argv", [
+    "table eulerian --n 1560", "exact odd-pmf --n 1560", "exact delta-pmf --n 1560",
+    "exact odd-pmf --n 1561",
+])
+def test_exact_integers_of_any_length_print(capsys, argv):
+    # row 1560's middle entries and 1559! pass 4,300 digits, Python's default
+    # limit for int-to-str conversion; the handler lifts it while it writes
+    # and restores it, since `main` also runs in other programs' processes
+    from counterwalk.eulerian import ExactPmf, delta_pmf, eulerian_row, odd_count_pmf
+
+    row = eulerian_row(1560).values
+    assert max(row).bit_length() * math.log10(2) > 4300
+    with int_digit_limit(4300):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert sys.get_int_max_str_digits() == 4300
+    assert (code, err) == (0, "")
+    with int_digit_limit(0):
+        rows = [[int(x) for x in line.split(",")] for line in out.splitlines()[2:]]
+    if argv.startswith("table"):
+        assert tuple(v for _, v in rows) == row
+        return
+    pmf = {"odd-pmf": odd_count_pmf, "delta-pmf": delta_pmf}[argv.split()[1]](1560)
+    if argv.endswith("1561"):  # P(ell) = <1560, ell-1> / 1560!
+        pmf = ExactPmf(tuple(range(1, 1561)), row, math.factorial(1560))
+    assert [v for v, _, _ in rows] == list(pmf.values)
+    assert [num for _, num, _ in rows] == list(pmf.weights)
+    assert {den for _, _, den in rows} == {pmf.denom}
+
+
+WIDE_LINES, WIDTH = 2000, 4096
+
+
+def wide_lines():
+    """2,000 lines of 4 KiB each, made one at a time: 8 MiB of text in all."""
+    return (f"{i:04d}" + "x" * (WIDTH - 4) for i in range(WIDE_LINES))
+
+
+@pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+def test_emit_streams_in_bounded_memory(tmp_path, monkeypatch, to_stdout):
+    path = tmp_path / "wide.csv"
+    with open(path, "w", encoding="utf-8", newline="") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        tracemalloc.start()
+        try:
+            cli._emit(wide_lines(), None if to_stdout else str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1 << 20
+    assert path.read_bytes() == ("\n".join(wide_lines()) + "\n").encode()
+
+
+@pytest.mark.parametrize("argv", ["table eulerian --n 1000", "exact delta-pmf --n 800"])
+def test_exact_tables_are_never_held_whole(tmp_path, argv):
+    # the row or pmf is built (and memoized) by a first run; the second run's
+    # formatting and writing then holds less than the text it writes
+    path = tmp_path / "table.csv"
+    argv = [*argv.split(), "--out", str(path)]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < path.stat().st_size
+
+
+def test_emit_writes_whole_chunks(monkeypatch):
+    # one `write` per chunk keeps an unbuffered stdout from paying a system
+    # call per line
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": lambda _, text: writes.append(text)})())
+    cli._emit(wide_lines(), None)
+    assert "".join(writes) == "\n".join(wide_lines()) + "\n"
+    assert all(cli._CHUNK <= len(text) for text in writes[:-1])
+    assert all(len(text) < cli._CHUNK + WIDTH + 1 for text in writes)
 
 
 class TestExactCommands:
@@ -113,6 +208,11 @@ class TestTableCommand:
         code, out, _ = run_cli(capsys, "table", "eulerian", "--n", "0")
         assert code == 0
         assert out.strip().splitlines()[2:] == ["-1,1"]
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "table", "eulerian", "--n", "7", "--out", str(tmp_path))
+        assert (code, out) == (4, "")
+        assert err.startswith("error: cannot write")
 
 
 class TestSampleCommand:
@@ -221,6 +321,19 @@ class TestSimulateCommand:
         )
         assert code == 4
         assert "cannot write" in err
+
+    def test_a_later_failing_replica_writes_nothing(self, tmp_path, capsys):
+        # output is all or nothing: replica 0 of this run passes alone, a
+        # later one draws a step past the float range
+        argv = ["simulate", "--n", "40", "--p", "1/2", "--mu", "pareto:0.01", "--seed", "3"]
+        code, out, _ = run_cli(capsys, *argv, "--reps", "1")
+        assert code == 0 and len(out.splitlines()) == 3
+        code, out, err = run_cli(capsys, *argv, "--reps", "8")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: result beyond the float range")
+        path = tmp_path / "runs.csv"
+        assert run_cli(capsys, *argv, "--reps", "8", "--out", str(path))[:2] == (3, "")
+        assert not path.exists()
 
     def test_bad_mu_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "5", "--p", "1/2", "--mu", "cauchy")
@@ -336,6 +449,22 @@ class TestLimitsCommand:
         assert err.startswith("error: ")
         if flag == "--phi1":
             assert "--phi1" in err
+
+    @pytest.mark.parametrize("flag, value, refuse", [
+        ("--alpha", "2", lambda asym: asym.StableSpec(2.0, 1.0)),
+        ("--phi1", "0", lambda asym: asym.StableSpec(1.5, 0.0)),
+        ("--p", "1", lambda asym: asym._open01(1)),
+    ], ids=["alpha", "phi1", "p"])
+    def test_stable_refuses_what_the_library_refuses(self, capsys, flag, value, refuse):
+        # the CLI names the option and gives the library's own reason
+        import counterwalk.asymptotics as asym
+
+        with pytest.raises(ValueError) as refused:
+            refuse(asym)
+        args = {"--alpha": "1.5", "--p": "1/2", "--theta": "1.0", flag: value}
+        code, out, err = run_cli(capsys, "limits", "stable", *(x for kv in args.items() for x in kv))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and flag in err and err.endswith(f": {refused.value}\n")
 
     def test_long_table_matches_closed_form(self, capsys):
         from counterwalk.asymptotics import yule_simon_pmf
@@ -461,6 +590,23 @@ class TestExperimentConfig:
         # the hash of "simulate[n=5,p=1/2]"
         assert line == f"# counterwalk={counterwalk.__version__} config=ed5aa3f626ae"
 
+    @pytest.mark.parametrize("seed, command, options, canonical", [
+        (None, "simulate", {"n": 5, "p": Fraction(1, 2)}, "simulate[n=5,p=1/2]"),
+        (7, "sample-rrt", {"n": 50, "reps": 7, "seed": 7}, "sample-rrt[n=50,reps=7,seed=7]"),
+        (None, "table-eulerian", {"n": 0}, "table-eulerian[n=0]"),
+        (None, "limits-stable", {"alpha": 1.5, "p": Fraction(1, 2), "theta": 0.7, "kmax": 50,
+                                 "phi1": 1.0}, "limits-stable[alpha=1.5,kmax=50,p=1/2,phi1=1.0,theta=0.7]"),
+        (None, "exact", {}, "exact[]"),
+    ])
+    def test_digest_is_sha256_of_the_canonical_text(self, monkeypatch, seed, command, options,
+                                                     canonical):
+        # the built-in digest, taken where `hashlib` is not loaded, gives what `hashlib` gives
+        digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        assert _comment_line(seed, command, **options).endswith(f" config={digest}")
+        monkeypatch.delitem(sys.modules, "hashlib")
+        assert cli._sha256().__module__ in ("_sha2", "_sha256")
+        assert _comment_line(seed, command, **options).endswith(f" config={digest}")
+
     def test_equivalent_spellings_hash_identically(self, capsys):
         _, out_a, _ = run_cli(capsys, "exact", "walk-oracle", "--n", "2", "--p", "0.5", "--mu", "dirac:1")
         _, out_b, _ = run_cli(capsys, "exact", "walk-oracle", "--n", "2", "--p", "1/2", "--mu", "dirac:1")
@@ -560,9 +706,10 @@ def test_cli_import_and_exact_commands_load_no_numpy():
         "                 ['limits', '--p', '1/2', '--mu', 'gauss:0,1'],",
         "                 ['limits', 'stable', '--alpha', '1.5', '--p', '1/2', '--theta', '0.7']):",
         "        assert counterwalk.cli.main(argv) == 0",
-        "print('numpy' in sys.modules)",
+        "print('numpy' in sys.modules, '_hashlib' in sys.modules)",
     ])
-    assert run_python("-c", probe).stdout.split() == ["False", "False"]
+    # nor OpenSSL's libcrypto, which `hashlib` maps through `_hashlib`
+    assert run_python("-c", probe).stdout.split() == ["False", "False", "False"]
 
 
 def test_exact_layer_imports_without_numpy_and_package_loads_no_submodule():
