@@ -65,58 +65,41 @@ def _comment_line(seed: int | None, command: str, /, **options) -> str:
 
 
 def _sha256():
-    """SHA-256 without OpenSSL where that saves memory: `hashlib` maps
-    OpenSSL's libcrypto, which the exact commands need nothing else from,
-    so they take CPython's built-in digest, which gives the same bytes.  A
-    process that has loaded `hashlib` already (as `numpy.random` does) uses
-    it rather than map a second library."""
-    if "hashlib" not in sys.modules:
-        for name in ("_sha2", "_sha256"):  # 3.12+, 3.10-3.11
-            try:
-                return __import__(name).sha256
-            except ImportError:  # an interpreter built without it
-                pass
+    """CPython's built-in SHA-256, which gives `hashlib`'s bytes without
+    mapping OpenSSL's libcrypto, which the exact commands need nothing else
+    from; `hashlib` only on an interpreter built without it."""
+    for name in ("_sha2", "_sha256"):  # 3.12+, 3.10-3.11
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
     import hashlib
 
     return hashlib.sha256
 
 
-#: Characters `_emit` gathers per ``write``: one system call per chunk even
-#: on an unbuffered stdout (``PYTHONUNBUFFERED=1``), and one chunk in memory.
-_CHUNK = 1 << 16
-
-
 def _emit(lines: Iterable[str], out: str | None) -> None:
     """Write ``lines``, each ended by a newline, to the file ``out`` or to
-    stdout, in chunks of about `_CHUNK` characters.  ``lines`` may be a
-    generator, so a table is never held whole; its exact integers may have
-    any number of digits, since the int-to-str digit limit (Python 3.10.7+)
-    is lifted until the last write and then restored."""
+    stdout through the file's own buffer.  ``lines`` may be a generator, so
+    a table is never held whole; its exact integers may have any number of
+    digits, since the int-to-str digit limit (Python 3.10.7+) is lifted
+    until the last write and then restored."""
     if out is None:
-        _write_chunks(lines, sys.stdout)
+        _write_lines(lines, sys.stdout)
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            _write_chunks(lines, fh)
+            _write_lines(lines, fh)
     except OSError as exc:
         raise OutputError(f"cannot write {out!r}: {exc}") from exc
 
 
-def _write_chunks(lines: Iterable[str], fh) -> None:
+def _write_lines(lines: Iterable[str], fh) -> None:
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        chunk: list[str] = []
-        size = 0
-        for line in lines:
-            chunk.append(line)
-            size += len(line) + 1
-            if size >= _CHUNK:
-                fh.write("\n".join(chunk) + "\n")
-                chunk, size = [], 0
-        if chunk:
-            fh.write("\n".join(chunk) + "\n")
+        fh.writelines(f"{line}\n" for line in lines)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
@@ -292,13 +275,11 @@ def _cmd_limits(args) -> int:
     if kmax < 1:
         raise CliError("--kmax must be >= 1")
     comment = _comment_line(None, "limits", p=p, mu=law.spec_string(), kmax=kmax)
-    constants = asym.limit_constants(p, law.m1, law.m2, kmax=kmax).items()
-    decimals = []  # every constant fits a float before the first write
-    for name, value in constants:
+    lines = ["quantity,exact,decimal", comment]
+    for name, value in asym.limit_constants(p, law.m1, law.m2, kmax=kmax).items():
         with _float_range(f"the constant {name}"):
-            decimals.append(float(value))
-    rows = (f"{name},{value},{decimal!r}" for (name, value), decimal in zip(constants, decimals))
-    _emit(itertools.chain(["quantity,exact,decimal", comment], rows), args.out)
+            lines.append(f"{name},{value},{float(value)!r}")
+    _emit(lines, args.out)
     return 0
 
 

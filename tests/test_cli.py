@@ -103,17 +103,6 @@ def test_exact_tables_are_never_held_whole(tmp_path, argv):
     assert peak < path.stat().st_size
 
 
-def test_emit_writes_whole_chunks(monkeypatch):
-    # one `write` per chunk keeps an unbuffered stdout from paying a system
-    # call per line
-    writes = []
-    monkeypatch.setattr(sys, "stdout", type("Sink", (), {"write": lambda _, text: writes.append(text)})())
-    cli._emit(wide_lines(), None)
-    assert "".join(writes) == "\n".join(wide_lines()) + "\n"
-    assert all(cli._CHUNK <= len(text) for text in writes[:-1])
-    assert all(len(text) < cli._CHUNK + WIDTH + 1 for text in writes)
-
-
 class TestExactCommands:
     def test_odd_pmf_rows(self, capsys):
         code, out, _ = run_cli(capsys, "exact", "odd-pmf", "--n", "4")
@@ -598,13 +587,10 @@ class TestExperimentConfig:
                                  "phi1": 1.0}, "limits-stable[alpha=1.5,kmax=50,p=1/2,phi1=1.0,theta=0.7]"),
         (None, "exact", {}, "exact[]"),
     ])
-    def test_digest_is_sha256_of_the_canonical_text(self, monkeypatch, seed, command, options,
-                                                     canonical):
-        # the built-in digest, taken where `hashlib` is not loaded, gives what `hashlib` gives
-        digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
-        assert _comment_line(seed, command, **options).endswith(f" config={digest}")
-        monkeypatch.delitem(sys.modules, "hashlib")
+    def test_digest_is_sha256_of_the_canonical_text(self, seed, command, options, canonical):
+        # the built-in digest gives what `hashlib` gives
         assert cli._sha256().__module__ in ("_sha2", "_sha256")
+        digest = hashlib.sha256(canonical.encode()).hexdigest()[:12]
         assert _comment_line(seed, command, **options).endswith(f" config={digest}")
 
     def test_equivalent_spellings_hash_identically(self, capsys):
