@@ -329,7 +329,10 @@ def limit_constants(p: Number, m1: Number | None, m2: Number | None, kmax: int =
     name and in the order `counterwalk limits` prints them: ``velocity``
     (needs ``m1``), ``clt_variance`` (needs ``m1`` and ``m2``),
     ``nu1_clt_variance``, and for ``p < 1`` ``rho``, ``sigma_sq_k`` (needs
-    both moments) and ``yule_simon_k`` for ``k = 1 .. kmax``."""
+    both moments) and ``yule_simon_k`` for ``k = 1 .. kmax``; ``kmax < 1``
+    raises `ValueError`, at ``p = 1`` too."""
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
     p = _open01(p, allow_one=True)
     out = {}
     if m1 is not None:

@@ -272,11 +272,13 @@ def _cmd_limits(args) -> int:
         raise CliError("limit constants are undefined at p = 0; use the exact parity laws instead")
     law = _parse_law(args.mu)
     kmax = 8 if args.kmax is None else args.kmax
-    if kmax < 1:
-        raise CliError("--kmax must be >= 1")
+    try:
+        constants = asym.limit_constants(p, law.m1, law.m2, kmax=kmax)
+    except ValueError as exc:
+        raise CliError(f"--kmax {kmax}: {exc}") from None
     comment = _comment_line(None, "limits", p=p, mu=law.spec_string(), kmax=kmax)
     lines = ["quantity,exact,decimal", comment]
-    for name, value in asym.limit_constants(p, law.m1, law.m2, kmax=kmax).items():
+    for name, value in constants.items():
         with _float_range(f"the constant {name}"):
             lines.append(f"{name},{value},{float(value)!r}")
     _emit(lines, args.out)
@@ -299,10 +301,11 @@ def _cmd_limits_stable(args) -> int:
     except ValueError as exc:
         raise CliError(f"--alpha {args.alpha!r} --phi1 {args.phi1!r}: {exc}") from None
     kmax = 50 if args.kmax is None else args.kmax
-    if kmax < 1:
-        raise CliError("--kmax must be >= 1")
     with _float_range(f"the exponent at --theta {args.theta!r}"):
-        value, tail = asym.stable_check_exponent(args.theta, p, spec, kmax=kmax)
+        try:
+            value, tail = asym.stable_check_exponent(args.theta, p, spec, kmax=kmax)
+        except ValueError as exc:
+            raise CliError(f"--kmax {kmax} --theta {args.theta!r}: {exc}") from None
     lines = [
         "quantity,value",
         _comment_line(None, "limits-stable", alpha=args.alpha, p=p, theta=args.theta,

@@ -25,7 +25,8 @@ def sample_odd_counts(n: int, reps: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError("tree size must be >= 1")
-    return _tiles(seed, n, 0.0, reps, lambda innov, root, odd, steps: odd.sum(axis=1), np.int64)
+    return _tiles(seed, n, 0.0, reps,
+                  lambda innov, root, odd, steps: odd.reshape(-1, n).sum(axis=1), np.int64)
 
 
 def tanny_sample_batch(n: int, reps: int, seed: int) -> np.ndarray:

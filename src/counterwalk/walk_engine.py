@@ -6,7 +6,8 @@ and takes the opposite of ``u``'s step.  The picks form a genealogical
 forest: every innovation roots a random recursive tree, and a step's
 counterbalanced value is its tree's draw times ``(-1)**depth``, while the
 reinforced walk takes the draw itself.  `forest` recovers each step's root
-and depth parity from the picks by pointer jumping; every simulator and
+and depth parity by pointer jumping over the parent cells that `_tile`
+builds from the picks; every simulator and
 every reduction in this module, and the tree sampler of `recursive_tree`,
 runs on its output.
 
@@ -199,38 +200,30 @@ def parse_mu_spec(spec: str) -> StepLaw:
         raise ValueError(f"invalid step-law spec {spec!r}: {exc}") from None
 
 
-def forest(innov: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Root and depth parity of every vertex of a genealogical forest.
+def forest(innov: np.ndarray, parent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Root and depth parity of every cell of a genealogical forest.
 
-    The last axis of ``innov`` (bool) and ``picks`` (int) is the 0-based
-    step, as in the draw layout of the module docstring; any leading axes
-    are independent replicas.  Step ``j`` roots a tree when ``innov[..., j]``
-    holds or ``j == 0``, and otherwise hangs below step ``picks[..., j] < j``.
-    Returns ``(root, odd)``: the flat (C-order) index of the cell that
-    founded each vertex's tree, which is its step for a single replica, and
-    whether the vertex sits at odd depth in it.
+    ``innov`` (bool) and ``parent`` (int) are flat arrays over the same
+    cells, the steps of one or more replicas in C order as `_tile` lays
+    them out.  A root has ``innov`` set and is its own parent; any other
+    cell hangs below ``parent``, an earlier cell of its own replica.
+    Returns ``(root, odd)``, flat: the cell that founded each cell's tree,
+    which is its step for a single replica, and whether the cell sits at
+    odd depth in it.
 
     Pointer jumping (Wyllie 1979): roots are self-loops, and each round XORs
-    the parity bit of a vertex's current target into its own and then jumps
+    the parity bit of a cell's current target into its own and then jumps
     to the target's target.  A round halves every remaining path, so a
     recursive tree of depth about ``e ln n`` needs about ``log2(e ln n)``
     rounds.
     """
-    import numpy as np
-
-    n = innov.shape[-1]
-    step = np.arange(n)
-    parent = np.where(innov, step, picks)
-    parent[..., 0] = 0
-    # a hanging step's pick is below it, so exactly the hanging steps start odd
-    odd = (~innov).ravel()
-    odd[::n] = False
-    # flat indices in C order, so one gather serves every replica at once
-    target = (parent + n * np.arange(parent.size // n).reshape(innov.shape[:-1] + (1,))).ravel()
+    # a hanging cell sits one level below its parent, so exactly those start odd
+    odd = ~innov
+    target = parent
     while True:
         jump = target[target]
         if (jump == target).all():
-            return target.reshape(innov.shape), odd.reshape(innov.shape)
+            return target, odd
         odd ^= odd[target]
         target = jump
 
@@ -250,17 +243,41 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return np.random.default_rng(seq), np.random.default_rng(seq.spawn(1)[0])
 
 
-def _tile(rng: np.random.Generator, n: int, p: float, w: int) -> tuple:
-    """The next ``w`` replicas of a block whose uniforms ``rng`` draws:
-    returns ``(innov, root, odd)``, each of shape ``(w, n)``."""
+def _grid(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each cell's step (float64) and row base ``r * n`` (int64), flat in C
+    order over a tile of ``w`` replicas of ``n`` steps; a narrower tile
+    reads a prefix."""
     import numpy as np
 
+    return np.tile(np.arange(n, dtype=np.float64), w), np.repeat(np.arange(0, w * n, n), n)
+
+
+def _tile(rng: np.random.Generator, n: int, p: float, w: int, grid: tuple) -> tuple:
+    """The next ``w`` replicas of a block whose uniforms ``rng`` draws, on a
+    `_grid` of at least ``w`` replicas: returns ``(innov, root, odd)``, flat
+    over the tile's cells in C order.
+
+    One pass reads the innovation half of the draws and one the pick half,
+    each into contiguous cells; every later pass runs over the flat cells,
+    not over the short step axis.  A cell's parent is
+    ``floor(max(u1, innov) * step)`` plus its row base: for a hanging step
+    its pick, as ``u1 < 1`` puts ``u1 * step`` below the step (for steps
+    below 2**53), and for an innovation the cell itself, a self-loop that
+    `forest` reads as a root."""
+    import numpy as np
+
+    m = w * n
+    step, base = grid[0][:m], grid[1][:m]
     u = rng.random((w, 2, n))
     innov = u[:, 0] < p
     innov[:, 0] = True
-    picks = (u[:, 1] * np.arange(n)).astype(np.int64)
+    parent = np.maximum(u[:, 1], innov).reshape(m)
+    parent *= step
+    parent = parent.astype(np.int64)
+    parent += base
+    innov = innov.reshape(m)
     # `u` lives through `forest`: freed before it, its pages were faulted in anew each block
-    root, odd = forest(innov, picks)
+    root, odd = forest(innov, parent)
     return innov, root, odd
 
 
@@ -269,8 +286,9 @@ def _tiles(seed: int, n: int, p: float, reps: int, reduce: Callable, dtype) -> n
     values of ``dtype`` that ``reduce(innov, root, odd, steps)`` gives, tile
     by tile.  Blocks of ``_BLOCK_CELLS // n`` replicas, block ``b`` on
     ``child_seed(seed, b)``, run in tiles of ``_TILE_CELLS // n`` (each at
-    least 1); a tile draws its fresh steps from ``steps`` before the next.
-    Besides the output a call holds one tile, about ``max(n, _TILE_CELLS)``
+    least 1), all on one `_grid` built for the widest tile; a tile draws
+    its fresh steps from ``steps`` before the next.  Besides the output a
+    call holds that grid and one tile, each about ``max(n, _TILE_CELLS)``
     cells, at a time, however large ``reps`` is."""
     import numpy as np
 
@@ -281,12 +299,13 @@ def _tiles(seed: int, n: int, p: float, reps: int, reduce: Callable, dtype) -> n
     out = np.empty(reps, dtype=dtype)
     width = max(1, _BLOCK_CELLS // n)
     tile = max(1, _TILE_CELLS // n)
+    grid = _grid(n, min(tile, reps))
     for b, block in enumerate(range(0, reps, width)):
         rng, steps = _streams(child_seed(seed, b))
         end = min(block + width, reps)
         for start in range(block, end, tile):
             stop = min(start + tile, end)
-            out[start:stop] = reduce(*_tile(rng, n, p, stop - start), steps)
+            out[start:stop] = reduce(*_tile(rng, n, p, stop - start, grid), steps)
     return out
 
 
@@ -441,7 +460,7 @@ def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
     if n < 1:
         raise ValueError("horizon must be >= 1")
     rng, steps = _streams(seed)
-    (eps,), (root,), (odd,) = _tile(rng, n, float(_probability(p)), 1)
+    eps, root, odd = _tile(rng, n, float(_probability(p)), 1, _grid(n, 1))
     i_n = int(eps.sum())
     x = law.sample_units(steps, i_n) if law.exact else law.sample_batch(steps, i_n)
     tree = (np.cumsum(eps) - 1)[root]
@@ -505,14 +524,12 @@ def simulate_batch(n: int, p: Number, law: StepLaw, reps: int, seed: int) -> np.
     import numpy as np
 
     def final(innov, root, odd, steps):
-        w = len(innov)
-        # flat root cells come out replica by replica, as their steps are drawn
-        key = root.ravel()
+        # the root cells come out replica by replica, as their steps are drawn
         sign = (1 - 2 * odd.view(np.int8)).astype(np.float64)  # far faster than from bool
         cells = np.flatnonzero(innov)
-        delta = np.bincount(key, weights=sign.ravel(), minlength=key.size)[cells]
+        delta = np.bincount(root, weights=sign, minlength=root.size)[cells]
         x = law.sample_batch(steps, delta.size)
-        return np.bincount(cells // n, weights=delta * x, minlength=w)
+        return np.bincount(cells // n, weights=delta * x, minlength=root.size // n)
 
     return _tiles(seed, n, float(_probability(p)), reps, final, np.float64)
 
@@ -527,7 +544,7 @@ def singleton_counts(n: int, p: Number, reps: int, seed: int) -> np.ndarray:
 
     def singles(innov, root, odd, steps):
         # the size of each tree sits at its root cell
-        sizes = np.bincount(root.ravel(), minlength=root.size)
-        return (sizes == 1).reshape(root.shape).sum(axis=1)
+        sizes = np.bincount(root, minlength=root.size)
+        return (sizes == 1).reshape(-1, n).sum(axis=1)
 
     return _tiles(seed, n, float(_probability(p)), reps, singles, np.int64)

@@ -434,6 +434,15 @@ class TestLimitConstants:
                     assert constants[f"yule_simon_{k}"] == yule_simon_pmf(k, p)
                 assert "sigma_sq_41" not in constants and "yule_simon_41" not in constants
 
+    @pytest.mark.parametrize("kmax", [0, -3])
+    def test_rejects_kmax_below_one_as_the_stable_exponent_does(self, kmax):
+        with pytest.raises(ValueError) as stable:
+            stable_check_exponent(1.0, HALF, StableSpec(1.5, 1.0), kmax=kmax)
+        for p in (HALF, 1):  # at p = 1 too, where no constant depends on kmax
+            with pytest.raises(ValueError) as refused:
+                limit_constants(p, 0, 1, kmax=kmax)
+            assert str(refused.value) == str(stable.value) == "kmax must be >= 1"
+
     def test_pure_innovation_point(self):
         constants = limit_constants(1, 0, 1)
         assert constants["clt_variance"] == 1

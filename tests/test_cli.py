@@ -455,6 +455,22 @@ class TestLimitsCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and flag in err and err.endswith(f": {refused.value}\n")
 
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    @pytest.mark.parametrize("argv", [("--p", "1/2", "--mu", "gauss:0,1"),
+                                      ("stable", "--alpha", "1.5", "--p", "1/2", "--theta", "1.0")],
+                             ids=["limits", "stable"])
+    def test_refuses_kmax_below_one_and_writes_nothing(self, capsys, tmp_path, argv, kmax):
+        # the library owns the rule: the CLI names the option and gives its reason
+        import counterwalk.asymptotics as asym
+
+        with pytest.raises(ValueError) as refused:
+            asym.limit_constants(Fraction(1, 2), 0, 1, kmax=int(kmax))
+        out_file = tmp_path / "limits.csv"
+        code, out, err = run_cli(capsys, "limits", *argv, "--kmax", kmax, "--out", str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --kmax {kmax}") and err.endswith(f": {refused.value}\n")
+        assert not out_file.exists()
+
     def test_long_table_matches_closed_form(self, capsys):
         from counterwalk.asymptotics import yule_simon_pmf
 

@@ -89,6 +89,28 @@ def reference_forest(innov, picks):
     return root, odd
 
 
+def forest_of(innov, picks):
+    """`forest` on per-step ``innov`` and ``picks`` (the last axis is the
+    step, any leading axes are replicas), handed over as the flat parent
+    cells `_tile` builds: step 0 and the innovations are self-loops, and
+    every other step points at its pick's cell.  Returns ``(root, odd)``
+    in ``innov``'s shape."""
+    n = innov.shape[-1]
+    innov = innov.copy()
+    innov[..., 0] = True
+    base = n * np.arange(innov.size // n).reshape(innov.shape[:-1] + (1,))
+    parent = np.where(innov, np.arange(n), picks) + base
+    root, odd = forest(innov.ravel(), parent.ravel())
+    return root.reshape(innov.shape), odd.reshape(innov.shape)
+
+
+def tile_uniforms(innov, picks, p=0.5):
+    """Uniforms of shape ``(w, 2, n)`` that `_tile` turns into the given
+    innovation bits (at rate ``p``) and picks ``0 <= pick < max(step, 1)``."""
+    step = np.maximum(np.arange(innov.shape[-1]), 1)
+    return np.stack((np.where(innov, p / 2, (1 + p) / 2), (picks + 0.5) / step), axis=1)
+
+
 class FixedUniforms:
     """Generator stub: `random` returns a fresh copy of the given uniforms,
     whose shape must be the one asked for."""
@@ -289,7 +311,7 @@ class TestForest:
         rng = np.random.default_rng(31)
         for n in (1, 2, 3, 17, 1000):
             innov, picks = random_forest_input(n, p, rng)
-            root, odd = forest(innov, picks)
+            root, odd = forest_of(innov, picks)
             ref_root, ref_odd = reference_forest(innov, picks)
             assert root.tolist() == ref_root.tolist()
             assert odd.tolist() == ref_odd.tolist()
@@ -299,7 +321,7 @@ class TestForest:
         rng = np.random.default_rng(32)
         for n, width in ((1, 4), (5, 1), (300, 7)):
             innov, picks = random_forest_input(n, p, rng, width)
-            root, odd = forest(innov, picks)
+            root, odd = forest_of(innov, picks)
             assert root.shape == odd.shape == (width, n)
             for r in range(width):
                 ref_root, ref_odd = reference_forest(innov[r], picks[r])
@@ -307,7 +329,9 @@ class TestForest:
                 assert odd[r].tolist() == ref_odd.tolist()
 
     def test_first_step_is_a_root_whatever_its_bit(self):
-        root, odd = forest(np.zeros(4, dtype=bool), np.zeros(4, dtype=np.int64))
+        # `_tile` draws step 0's innovation uniform but roots a tree there anyway
+        u = tile_uniforms(np.zeros((1, 4), dtype=bool), np.zeros((1, 4)))
+        _, root, odd = walk_engine._tile(FixedUniforms(u), 4, 0.5, 1, walk_engine._grid(4, 1))
         assert root.tolist() == [0, 0, 0, 0]
         assert odd.tolist() == [False, True, True, True]
         # every replica of a tile, with innovations after step 0 or none
@@ -315,7 +339,9 @@ class TestForest:
                           [False, True, False, False],
                           [False, False, False, False]])
         picks = np.array([[0, 0, 0, 2], [0, 0, 1, 0], [0, 0, 1, 2]])
-        root, odd = forest(innov, picks)
+        u = tile_uniforms(innov, picks)
+        _, root, odd = walk_engine._tile(FixedUniforms(u), 4, 0.5, 3, walk_engine._grid(4, 3))
+        root, odd = root.reshape(3, 4), odd.reshape(3, 4)
         assert root.tolist() == [[0, 0, 2, 2], [4, 5, 5, 4], [8, 8, 8, 8]]
         assert odd.tolist() == [[False, True, False, True],
                                 [False, False, True, True],
@@ -327,11 +353,25 @@ class TestForest:
         # picks j - 1, so a tile without innovations is one path
         n = 2**20 + 1
         top = 1.0 - 2.0**-53
-        innov, root, odd = walk_engine._tile(FixedUniforms(np.full((1, 2, n), top)), n, 0.0, 1)
+        grid = walk_engine._grid(n, 1)
+        innov, root, odd = walk_engine._tile(FixedUniforms(np.full((1, 2, n), top)), n, 0.0, 1, grid)
         step = np.arange(n)
         # a pick at its own step would root a tree there
         assert not root.any()
-        assert (odd[0] == (step % 2 == 1)).all()
+        assert (odd == (step % 2 == 1)).all()
+        # at p = 1 every step is an innovation, whose weight 1 makes it its
+        # own parent: every cell is its own root, none at odd depth
+        innov, root, odd = walk_engine._tile(FixedUniforms(np.full((1, 2, n), top)), n, 1.0, 1, grid)
+        assert innov.all() and (root == step).all() and not odd.any()
+        # a two-replica tile at n = 2: each row is the forest of its own picks
+        for p in (0.0, 1.0):
+            innov, root, odd = walk_engine._tile(FixedUniforms(np.full((2, 2, 2), top)), 2, p, 2,
+                                                 walk_engine._grid(2, 2))
+            for r in range(2):
+                row = slice(2 * r, 2 * r + 2)
+                ref_root, ref_odd = reference_forest(innov[row], (top * np.arange(2)).astype(np.int64))
+                assert (root[row] - 2 * r).tolist() == ref_root.tolist()
+                assert odd[row].tolist() == ref_odd.tolist()
         # the same product for steps near 2**53, the last exact float64 integers
         j = np.array([2**52 - 1, 2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1], dtype=np.int64)
         assert ((top * j).astype(np.int64) < j).all()
@@ -787,6 +827,10 @@ class TestBatch:
         (60, Fraction(1), StepLaw.uniform_symmetric(), 30),
         (200, Fraction(1, 4), StepLaw.gaussian(0, 1), 50),
         (150, Fraction(1, 2), StepLaw.pareto_symmetric(Fraction(3, 2)), 1),
+        # tiny horizons whose replicas span two tiles, the shapes c05 runs
+        (2, Fraction(1, 2), StepLaw.rademacher(), _TILE_CELLS // 2 + 7),
+        (6, Fraction(0), StepLaw.dirac(1), _TILE_CELLS // 6 + 7),
+        (3, Fraction(1, 4), StepLaw.gaussian(0, 1), _TILE_CELLS // 3 + 7),
     ])
     def test_bit_identical_to_reference_loop_on_the_chunk_draws(self, n, p, law, reps):
         # the draws of one block: per replica n innovation uniforms, then n
