@@ -2,11 +2,12 @@
 
 All rational-input operations return exact `Fraction` values; the only
 floating point lives in the float heads of `yule_simon_series` and
-`sigma_sq_series`, in the stable characteristic exponent and in
-`pareto_phi1`.  Every Beta-weighted series takes ``B_k = B(k, 1+rho)`` from
-one recurrence, `_betas` (`beta_of_k` looks up one ``B_k`` in closed form),
-never from gamma-function floats, and closes with the telescoped remainder
-of `beta_remainders`, so the identity checks can demand exact equality.
+`sigma_sq_series` and in the stable characteristic exponent, whose unit
+value for Pareto steps is `walk_engine.pareto_phi1`.  Every Beta-weighted
+series takes ``B_k = B(k, 1+rho)`` from one recurrence, `_betas` (`beta_of_k`
+looks up one ``B_k`` in closed form), never from gamma-function floats, and
+closes with the telescoped remainder of `beta_remainders`, so the identity
+checks can demand exact equality.
 """
 
 from __future__ import annotations
@@ -177,34 +178,6 @@ class StableSpec:
 
     def a_n(self, n: int) -> float:
         return n ** (1.0 / self.alpha)
-
-
-def pareto_phi1(alpha: float, n: int) -> float:
-    """Exact finite-``n`` unit exponent ``-n log phi_X(t)``, ``t = n**(-1/alpha)``,
-    of the symmetric Pareto law ``P(|X| > x) = x**-alpha`` (``x >= 1``), so
-    that ``exp(-phi1)`` is the characteristic function of the i.i.d. sum
-    ``(X_1 + ... + X_n) / n**(1/alpha)`` at 1.
-
-    Uses ``1 - phi_X(t) = alpha t^alpha [C - sum_{k>=1} (-1)^(k+1)
-    t^(2k-alpha) / ((2k)! (2k-alpha))]``, where ``C = int_0^inf (1 - cos u)
-    u^(-alpha-1) du = -Gamma(-alpha) cos(pi alpha / 2)``, evaluated in its
-    reflected form ``pi / (2 Gamma(1+alpha) sin(pi alpha / 2))``; that form
-    has no pole at ``alpha = 1``, where ``C = pi / 2``.
-    """
-    if not 0 < alpha < 2:
-        raise ValueError("alpha must lie in (0, 2)")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    t = n ** (-1.0 / alpha)
-    c = math.pi / (2.0 * math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
-    # t <= 1, so ten terms reach double precision: the next is below 1/22!
-    series = sum((-1) ** (k + 1) * t ** (2 * k - alpha) / (math.factorial(2 * k) * (2 * k - alpha))
-                 for k in range(1, 11))
-    # alpha * t**alpha is alpha / n
-    one_minus_phi = alpha / n * (c - series)
-    if one_minus_phi >= 1.0:
-        raise ValueError("characteristic function is not positive at t = n**(-1/alpha)")
-    return -n * math.log1p(-one_minus_phi)
 
 
 def stable_check_exponent(

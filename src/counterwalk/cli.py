@@ -19,9 +19,9 @@ starts with a column header followed by a comment line carrying the
 package version, the seed, and a hash of the canonical configuration, so
 reruns are byte-identical and self-describing.
 
-Exit codes: 0 success, 1 failed verification checks, 2 usage or grammar
-errors, 3 cap violations (a result beyond the float range among them), 4
-output I/O errors.
+Exit codes: 0 success, 1 failed verification checks (a criterion that
+raises included), 2 usage or grammar errors, 3 cap violations (a result
+beyond the float range among them), 4 output I/O errors.
 """
 
 from __future__ import annotations
@@ -322,14 +322,16 @@ def _cmd_limits_stable(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Reports go to stdout, one JSON line each, byte-identical run over run;
-    per-criterion wall time and worst margin go to stderr."""
-    from .acceptance import DEFAULT_SEED, run_all
+    per-criterion wall time and worst margin go to stderr.  A criterion that
+    raises a `ValueError` or `ArithmeticError` (a broken layer refusing its
+    own output) fails the gate, after the reports of those before it."""
+    from .acceptance import ACCEPTANCE_CRITERIA, DEFAULT_SEED, run_all
 
-    failures = 0
+    failures = ran = 0
     worst = None
 
     def done(cid, reports, seconds) -> None:
-        nonlocal failures, worst
+        nonlocal failures, worst, ran
         failures += sum(not r.passed for r in reports)
         sys.stdout.write("".join(r.to_json() + "\n" for r in reports))
         sys.stdout.flush()
@@ -337,9 +339,14 @@ def _cmd_verify(args) -> int:
         if worst is None or top.margin > worst.margin:
             worst = top
         sys.stderr.write(f"{cid} {seconds:.3f} s, worst margin {top.margin:.4f} {top.name}\n")
+        ran += 1
 
     seed = DEFAULT_SEED if args.seed is None else args.seed
-    run_all(seed=seed, fast=args.fast, done=done)
+    try:
+        run_all(seed=seed, fast=args.fast, done=done)
+    except (ValueError, ArithmeticError) as exc:
+        sys.stderr.write(f"error: {ACCEPTANCE_CRITERIA[ran][0]} raised {type(exc).__name__}: {exc}\n")
+        return 1
     if worst is not None:
         sys.stderr.write(f"worst margin {worst.margin:.4f} {worst.name}, {failures} failed, "
                          f"peak RSS {_peak_rss_mb():.1f} MB\n")

@@ -130,25 +130,57 @@ class StepLaw:
         the draws of one call of size ``k + m`` from the same generator
         state; the first ``k`` draws are ``sample_batch(rng, k)``.  A draw
         beyond the float range raises `OverflowError`."""
-        import numpy as np
-
         if self.exact:
             return float(self.lattice_step) * self.sample_units(rng, size)
-        if self.kind == "uniform":
-            return rng.uniform(-1.0, 1.0, size=size)
-        if self.kind == "gauss":
-            mean, var = self.params
-            return rng.normal(float(mean), math.sqrt(float(var)), size=size)
-        # one (magnitude, sign) uniform pair per step
-        u = rng.random((size, 2))
-        x = np.subtract(1.0, u[:, 0])
-        with np.errstate(over="ignore"):
-            x **= -1.0 / float(self.params[0])
-        if x.max(initial=1.0) == math.inf:
-            raise OverflowError(f"a {self.spec_string()} step draw")
-        # x >= 1 takes the sign of u - 1/2: exact, + at 1/2, shifted in place
-        u[:, 1] -= 0.5
-        return np.copysign(x, u[:, 1], out=x)
+        return _GRAMMAR[self.kind][3](self, rng, size)
+
+
+def _gauss_draws(law: StepLaw, rng: np.random.Generator, size: int) -> np.ndarray:
+    mean, var = law.params
+    return rng.normal(float(mean), math.sqrt(float(var)), size=size)
+
+
+def _pareto_draws(law: StepLaw, rng: np.random.Generator, size: int) -> np.ndarray:
+    """One (magnitude, sign) uniform pair per step of `pareto_phi1`'s law."""
+    import numpy as np
+
+    u = rng.random((size, 2))
+    x = np.subtract(1.0, u[:, 0])
+    with np.errstate(over="ignore"):
+        x **= -1.0 / float(law.params[0])
+    if x.max(initial=1.0) == math.inf:
+        raise OverflowError(f"a {law.spec_string()} step draw")
+    # x >= 1 takes the sign of u - 1/2: exact, + at 1/2, shifted in place
+    u[:, 1] -= 0.5
+    return np.copysign(x, u[:, 1], out=x)
+
+
+def pareto_phi1(alpha: float, n: int) -> float:
+    """Exact finite-``n`` unit exponent ``-n log phi_X(t)``, ``t = n**(-1/alpha)``,
+    of the symmetric Pareto law ``P(|X| > x) = x**-alpha`` (``x >= 1``), so
+    that ``exp(-phi1)`` is the characteristic function of the i.i.d. sum
+    ``(X_1 + ... + X_n) / n**(1/alpha)`` at 1.
+
+    Uses ``1 - phi_X(t) = alpha t^alpha [C - sum_{k>=1} (-1)^(k+1)
+    t^(2k-alpha) / ((2k)! (2k-alpha))]``, where ``C = int_0^inf (1 - cos u)
+    u^(-alpha-1) du = -Gamma(-alpha) cos(pi alpha / 2)``, evaluated in its
+    reflected form ``pi / (2 Gamma(1+alpha) sin(pi alpha / 2))``; that form
+    has no pole at ``alpha = 1``, where ``C = pi / 2``.
+    """
+    if not 0 < alpha < 2:
+        raise ValueError("alpha must lie in (0, 2)")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    t = n ** (-1.0 / alpha)
+    c = math.pi / (2.0 * math.gamma(1.0 + alpha) * math.sin(math.pi * alpha / 2.0))
+    # t <= 1, so ten terms reach double precision: the next is below 1/22!
+    series = sum((-1) ** (k + 1) * t ** (2 * k - alpha) / (math.factorial(2 * k) * (2 * k - alpha))
+                 for k in range(1, 11))
+    # alpha * t**alpha is alpha / n
+    one_minus_phi = alpha / n * (c - series)
+    if one_minus_phi >= 1.0:
+        raise ValueError("characteristic function is not positive at t = n**(-1/alpha)")
+    return -n * math.log1p(-one_minus_phi)
 
 
 def _float_sized(x: Number | str, name: str) -> Fraction:
@@ -161,14 +193,16 @@ def _float_sized(x: Number | str, name: str) -> Fraction:
     return x
 
 
-#: The step-law grammar: kind -> (constructor, parameter count, what the
-#: parameters are).  The constructors check the values.
+#: The step-law grammar, one row per kind: (constructor, parameter count,
+#: what the parameters are, float sampler ``(law, rng, size)`` that
+#: `StepLaw.sample_batch` calls).  The constructors check the values; a
+#: lattice kind has no sampler, as it draws from its pmf.
 _GRAMMAR = {
-    "rademacher": (StepLaw.rademacher, 0, None),
-    "dirac": (StepLaw.dirac, 1, "one value, e.g. dirac:1"),
-    "uniform": (StepLaw.uniform_symmetric, 0, None),
-    "gauss": (StepLaw.gaussian, 2, "mean and variance, e.g. gauss:0,1"),
-    "pareto": (StepLaw.pareto_symmetric, 1, "an exponent, e.g. pareto:1.5"),
+    "rademacher": (StepLaw.rademacher, 0, None, None),
+    "dirac": (StepLaw.dirac, 1, "one value, e.g. dirac:1", None),
+    "uniform": (StepLaw.uniform_symmetric, 0, None, lambda law, rng, size: rng.uniform(-1.0, 1.0, size=size)),
+    "gauss": (StepLaw.gaussian, 2, "mean and variance, e.g. gauss:0,1", _gauss_draws),
+    "pareto": (StepLaw.pareto_symmetric, 1, "an exponent, e.g. pareto:1.5", _pareto_draws),
 }
 
 
@@ -187,7 +221,7 @@ def parse_mu_spec(spec: str) -> StepLaw:
             f"invalid step-law spec {spec!r}: unknown kind {kind!r} "
             f"(expected one of {', '.join(_GRAMMAR)})"
         )
-    make, count, what = _GRAMMAR[kind]
+    make, count, what, _ = _GRAMMAR[kind]
     try:
         params = [_rational(field, kind) for field in tail.split(",")] if tail else []
     except ValueError:

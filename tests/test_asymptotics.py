@@ -17,7 +17,6 @@ from counterwalk.asymptotics import (
     exact_mean,
     limit_constants,
     nu1_clt_variance,
-    pareto_phi1,
     rho_of,
     rising_factorial,
     shape_weighted_sum,
@@ -30,6 +29,7 @@ from counterwalk.asymptotics import (
     yule_simon_series,
 )
 from counterwalk.eulerian import delta_moment
+from counterwalk.walk_engine import pareto_phi1
 
 HALF = Fraction(1, 2)
 

@@ -587,6 +587,32 @@ class TestVerifyCommand:
         worst = max(margins, key=margins.get)
         assert closing == f"worst margin {margins[worst]:.4f} {worst}, 0 failed, peak RSS 50.0 MB"
 
+    def test_a_broken_exact_layer_fails_the_gate(self, capsys, monkeypatch):
+        # every odd row one too large at its middle: c01 must report the bad
+        # entries and sums, and c02, whose exact law refuses the bad row, must
+        # fail the gate with exit 1, not look like a usage error (exit 2)
+        import counterwalk.eulerian as eulerian
+
+        next_row = eulerian._next_row
+
+        def broken(prev, n):
+            half = next_row(prev, n)
+            half[-1] += n & 1
+            return half
+
+        monkeypatch.setattr(eulerian, "_next_row", broken)
+        monkeypatch.setattr(eulerian, "_rows", [[1], [1]])
+        monkeypatch.setattr(eulerian, "_last", None)
+        monkeypatch.setattr(eulerian, "_largest", None)
+        code, out, err = run_cli(capsys, "verify", "all", "--fast")
+        assert code == 1
+        (report,) = [json.loads(line) for line in out.splitlines()]
+        assert report["name"] == "c01_eulerian_exact" and report["passed"] is False
+        assert report["value"] > 0
+        c01, error = err.splitlines()
+        assert c01.startswith("c01 ") and c01.endswith(" c01_eulerian_exact")
+        assert error == "error: c02 raised ValueError: weights must sum to the denominator exactly"
+
 
 class TestExperimentConfig:
     def test_canonical_is_sorted_and_stable(self):
@@ -690,6 +716,30 @@ def test_traced_runs_see_the_layers_handlers_import(tmp_path):
     assert "eulerian" in {s[0] for s in trace["spans"]}
 
 
+def test_exact_workload_checks_pass(tmp_path):
+    # the benchmark's `exact` workload also reads attributes that no import
+    # names (`ExactPmf.probs`, `EulerianRow.values`, `ShapeWeightedSum.tail`,
+    # ...), so its own identity checks are run here in full
+    script = os.path.join(os.path.dirname(SRC), "perfbench", "exact_workload.py")
+    done = run_python(script, "--seed", "0", "--out-dir", str(tmp_path), "--fast")
+    assert done.returncode == 0, done.stderr
+    summary = json.loads(done.stdout.splitlines()[-1])
+    assert summary["attempted"] > 0 and summary["failed"] == 0, summary["failures"]
+
+
+def test_hand_kept_grammar_copies_name_every_kind():
+    # `--help` loads no layer, so the `--mu` help and the `parse_mu_spec`
+    # docstring spell the grammar out by hand; each must list every kind
+    from counterwalk.walk_engine import _GRAMMAR, parse_mu_spec
+
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if a.choices and "simulate" in a.choices]
+    (mu,) = [a for a in sub.choices["simulate"]._actions if "--mu" in a.option_strings]
+    for text in (mu.help, parse_mu_spec.__doc__):
+        alternatives = re.search(r"\w+(?::[\w,]+)?(?: \| \w+(?::[\w,]+)?)+", text).group()
+        assert [alt.partition(":")[0] for alt in alternatives.split(" | ")] == list(_GRAMMAR)
+
+
 def test_cli_import_and_exact_commands_load_no_numpy():
     # the exact commands, the tables, the limit constants and the stable
     # exponent never need numpy; the engine and the verifier import it only
@@ -698,7 +748,7 @@ def test_cli_import_and_exact_commands_load_no_numpy():
         "import contextlib, io, sys",
         "import counterwalk.cli, counterwalk.asymptotics, counterwalk.walk_engine, counterwalk.verify",
         "from counterwalk.walk_engine import _GRAMMAR, parse_mu_spec",
-        "for kind, (_, count, _) in _GRAMMAR.items():  # one law of every kind, all parameters 1",
+        "for kind, (_, count, _, _) in _GRAMMAR.items():  # one law of every kind, all parameters 1",
         "    assert parse_mu_spec(kind + (':' + ','.join(['1'] * count) if count else '')).kind == kind",
         "print('numpy' in sys.modules)",
         "with contextlib.redirect_stdout(io.StringIO()):",

@@ -138,11 +138,15 @@ class TestStepLaw:
     @pytest.mark.parametrize("kind", list(_GRAMMAR))
     @given(data=st.data())
     def test_every_grammar_kind_round_trips(self, kind, data):
-        make, count, _ = _GRAMMAR[kind]
+        make, count, _, _ = _GRAMMAR[kind]
         params = data.draw(st.tuples(*GRAMMAR_PARAMS[kind]))
         assert len(params) == count
         law = make(*params)
         assert parse_mu_spec(law.spec_string()) == law
+
+    def test_a_row_has_a_sampler_iff_its_kind_is_not_lattice(self):
+        for law in ALL_LAWS:
+            assert (_GRAMMAR[law.kind][3] is None) == law.exact
 
     def test_grammar_accepts_fractions_and_decimals(self):
         assert parse_mu_spec("dirac:1/2").params[0] == Fraction(1, 2)
