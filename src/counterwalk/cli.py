@@ -21,7 +21,8 @@ reruns are byte-identical and self-describing.
 
 Exit codes: 0 success, 1 failed verification checks (a criterion that
 raises included), 2 usage or grammar errors, 3 cap violations (a result
-beyond the float range among them), 4 output I/O errors.
+beyond the float range among them), 4 output I/O errors (a stdout that
+fails, such as a closed pipe or a full disk, too).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections.abc import Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 from . import __version__
 
@@ -37,9 +38,9 @@ from . import __version__
 # `collections` already); `build_parser` adds `argparse`, and every handler
 # imports its own layers and stdlib modules when called.  So `--help` and
 # usage errors load no layer, `exact`, `table` and `limits` (stable too)
-# load neither numpy nor OpenSSL, and `simulate`, which adds `replication`
-# and `walk_engine`, never loads the acceptance suite, the verifier or the
-# asymptotics.
+# load neither numpy nor OpenSSL, and `simulate`, which adds `walk_engine`
+# (and through it `replication`) and reads every row from it, never loads
+# the acceptance suite, the verifier or the asymptotics.
 
 
 class CliError(Exception):
@@ -85,13 +86,31 @@ def _emit(lines: Iterable[str], out: str | None) -> None:
     digits, since the int-to-str digit limit (Python 3.10.7+) is lifted
     until the last write and then restored."""
     if out is None:
-        _write_lines(lines, sys.stdout)
+        with _stdout_errors():
+            _write_lines(lines, sys.stdout)
+            sys.stdout.flush()
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             _write_lines(lines, fh)
     except OSError as exc:
         raise OutputError(f"cannot write {out!r}: {exc}") from exc
+
+
+@contextmanager
+def _stdout_errors():
+    """Report a failed stdout write (a closed pipe, a full disk) as an
+    output error."""
+    try:
+        yield
+    except OSError as exc:
+        import os
+
+        # stdout's descriptor goes to the null device, so the interpreter's
+        # closing flush of what is still buffered fails no more
+        with open(os.devnull, "wb") as null, suppress(AttributeError, OSError, ValueError):
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        raise OutputError(f"cannot write to stdout: {exc}") from None
 
 
 def _write_lines(lines: Iterable[str], fh) -> None:
@@ -140,8 +159,7 @@ def _float_range(quantity: str):
 
 
 def _cmd_simulate(args) -> int:
-    from .replication import child_seed
-    from .walk_engine import forest_census, simulate
+    from .walk_engine import simulate_rows
 
     p = _parse_prob(args.p)
     law = _parse_law(args.mu)
@@ -158,21 +176,16 @@ def _cmd_simulate(args) -> int:
     lines = ["rep,n,i_n,S_check,S_hat,nu1", comment]
     every = args.traj_every
     traj = ["# trajectory: rep,step,S_check,S_hat"] if every > 0 else []
-    for rep in range(args.reps):
-        run = simulate(args.n, p, law, child_seed(args.seed, rep))
-        nu1 = forest_census(run).get(1, 0)
-        # trajectories never overflow first: float-law partial sums are floats
-        # already, rademacher positions stay within n, and under dirac:C the
-        # final reinforced position n*C bounds every earlier position
+    steps = range(every, args.n + 1, every) if every > 0 else ()
+    for rep, (i_n, nu1, finish) in enumerate(simulate_rows(args.n, p, law, args.reps, args.seed, every)):
+        # `finish` rounds the finals before the trajectory, and trajectories
+        # never overflow first: float-law partial sums are floats already,
+        # rademacher positions stay within n, and under dirac:C the final
+        # reinforced position n*C bounds every earlier position
         with _float_range(f"the final position of replica {rep}"):
-            final_check, final_hat = float(run.final_check), float(run.final_hat)
-        lines.append(f"{rep},{args.n},{run.innovations},{final_check!r},{final_hat!r},{nu1}")
-        if every > 0:
-            at = slice(every - 1, None, every)
-            steps = range(every, args.n + 1, every)
-            s_check = run.as_float(run.s_check[at]).tolist()
-            s_hat = run.as_float(run.s_hat[at]).tolist()
-            traj.extend(f"{rep},{step},{c!r},{h!r}" for step, c, h in zip(steps, s_check, s_hat))
+            final_check, final_hat, s_check, s_hat = finish()
+        lines.append(f"{rep},{args.n},{i_n},{final_check!r},{final_hat!r},{nu1}")
+        traj.extend(f"{rep},{step},{c!r},{h!r}" for step, c, h in zip(steps, s_check, s_hat))
     # every replica runs before the first write, so a failing one writes nothing
     _emit(itertools.chain(lines, traj), args.out)
     return 0
@@ -333,8 +346,9 @@ def _cmd_verify(args) -> int:
     def done(cid, reports, seconds) -> None:
         nonlocal failures, worst, ran
         failures += sum(not r.passed for r in reports)
-        sys.stdout.write("".join(r.to_json() + "\n" for r in reports))
-        sys.stdout.flush()
+        with _stdout_errors():
+            sys.stdout.write("".join(r.to_json() + "\n" for r in reports))
+            sys.stdout.flush()
         top = max(reports, key=lambda r: r.margin)
         if worst is None or top.margin > worst.margin:
             worst = top

@@ -11,8 +11,8 @@ builds from the picks; every simulator and
 every reduction in this module, and the tree sampler of `recursive_tree`,
 runs on its output.
 
-Draw layout, shared by `simulate`, `simulate_batch`, `singleton_counts` and
-`recursive_tree.sample_odd_counts`: a block of ``w`` replicas on
+Draw layout, shared by `simulate`, `simulate_rows`, `simulate_batch`,
+`singleton_counts` and `recursive_tree.sample_odd_counts`: a block of ``w`` replicas on
 ``seq = np.random.SeedSequence(seed)`` draws from ``default_rng(seq)``,
 replica by replica, ``n`` innovation uniforms (step ``j``, 0-based, is an
 innovation when its uniform is below ``p``; the first is drawn but ignored)
@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .eulerian import ExactPmf, Number, _as_exact, _probability, _rational
 from .replication import child_seed
@@ -473,16 +473,21 @@ class WalkRun:
         return len(self.x)
 
     def as_float(self, a: np.ndarray) -> np.ndarray:
-        """Float64 values of ``a``, one of this run's step or sum arrays,
-        each correctly rounded: a lattice count times the step's numerator
-        is a Python integer, divided once by its denominator."""
-        import numpy as np
+        """Float64 values of ``a``, one of this run's step or sum arrays."""
+        return _as_float(self.law, a)
 
-        step = self.law.lattice_step
-        if step is None:
-            return a
-        num, den = step.numerator, step.denominator
-        return np.array([u * num / den for u in a.tolist()], dtype=np.float64)
+
+def _as_float(law: StepLaw, a: np.ndarray) -> np.ndarray:
+    """Float64 values of ``a``, steps or sums of ``law`` as the simulators
+    hold them, each correctly rounded: a lattice count times the step's
+    numerator is a Python integer, divided once by its denominator."""
+    import numpy as np
+
+    step = law.lattice_step
+    if step is None:
+        return a
+    num, den = step.numerator, step.denominator
+    return np.array([u * num / den for u in a.tolist()], dtype=np.float64)
 
 
 def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
@@ -499,6 +504,53 @@ def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
     x = law.sample_units(steps, i_n) if law.exact else law.sample_batch(steps, i_n)
     tree = (np.cumsum(eps) - 1)[root]
     return WalkRun(n, law, eps, x, tree, odd)
+
+
+def simulate_rows(n: int, p: Number, law: StepLaw, reps: int, seed: int,
+                  every: int = 0) -> Iterator[tuple[int, int, Callable]]:
+    """What `counterwalk simulate` prints of ``reps`` replicas, replica
+    ``r`` being the run of ``simulate(n, p, law, child_seed(seed, r))``,
+    each read as one reduction over its forest, with no `WalkRun`.
+
+    Yields ``(i_n, nu1, finish)`` per replica once its fresh steps are
+    drawn, so an overflowing draw raises from the iterator.  ``finish()``
+    returns the run's ``final_check`` and ``final_hat``, each rounded to
+    float (which may raise `OverflowError`), then the float values of its
+    ``s_check`` and ``s_hat`` at steps ``every, 2 * every, ...`` as lists,
+    empty when ``every`` is 0; all bit for bit what the run gives.
+    """
+    if n < 1:
+        raise ValueError("horizon must be >= 1")
+    p = float(_probability(p))
+    grid = _grid(n, 1)
+    return (_replica_row(n, p, law, every, grid, child_seed(seed, r)) for r in range(reps))
+
+
+def _replica_row(n: int, p: float, law: StepLaw, every: int, grid: tuple,
+                 seed: int) -> tuple[int, int, Callable]:
+    """`simulate_rows`' row of the one-replica block on ``seed``."""
+    import numpy as np
+
+    rng, steps = _streams(seed)
+    innov, root, odd = _tile(rng, n, p, 1, grid)
+    cells = np.flatnonzero(innov)
+    x = law.sample_units(steps, cells.size) if law.exact else law.sample_batch(steps, cells.size)
+    # each tree's size and odd-vertex count sit at its root cell, in innovation order
+    size = np.bincount(root, minlength=n)[cells]
+    delta = size - 2 * np.bincount(root, weights=odd, minlength=n)[cells].astype(np.int64)
+
+    def finish() -> tuple[float, float, list, list]:
+        final_check, final_hat = float(_total(law, x, delta)), float(_total(law, x, size))
+        if every == 0:
+            return final_check, final_hat, [], []
+        draw = np.empty(n, dtype=x.dtype)
+        draw[cells] = x
+        hat = draw[root]
+        at = slice(every - 1, None, every)
+        s_check = _as_float(law, _running_sum(np.where(odd, -hat, hat))[at]).tolist()
+        return final_check, final_hat, s_check, _as_float(law, _running_sum(hat)[at]).tolist()
+
+    return cells.size, int(np.count_nonzero(size == 1)), finish
 
 
 def forest_census(run: WalkRun) -> dict[int, int]:

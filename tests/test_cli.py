@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -296,9 +297,13 @@ class TestSimulateCommand:
          "bdbe04a15515863101964cef0b62e8ce40185037b72302038022830a99fbab42"),
         ("--n 400 --p 1/2 --mu dirac:0 --reps 3 --traj-every 40",
          "7490c210ad9185d8fa94b536b5a564deeb2f63d0537de885b9bc8650357538cc"),
-    ], ids=["gauss", "dirac", "rademacher", "pareto", "uniform", "dirac0"])
+        ("--n 10000 --p 1/2 --mu gauss:0,1 --reps 2 --traj-every 1000",
+         "18f3465efbeb174b61950c4855a14ee8caac5478beced6c02754d41873ca7a88"),
+    ], ids=["gauss", "dirac", "rademacher", "pareto", "uniform", "dirac0", "gauss-tiles"])
     def test_bytes_are_pinned(self, capsys, argv, digest):
-        # sha256 of stdout as printed when the replicas ran through a replica pool
+        # sha256 of stdout as printed when the replicas ran through a replica
+        # pool; the last, past one tile, as printed when each replica built a
+        # `WalkRun`
         code, out, _ = run_cli(capsys, "simulate", *argv.split(), "--seed", "5")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -660,6 +665,42 @@ def test_overflowing_step_draw_fails_with_one_line():
     assert done.stderr == "error: result beyond the float range: a pareto:1/100 step draw\n"
 
 
+def test_a_closed_stdout_pipe_is_an_output_error():
+    # as in `... | head -c 100`: the reader goes away while the command still
+    # writes; 200,000 rows are far more than a pipe buffer holds
+    with subprocess.Popen([sys.executable, "-m", "counterwalk", "sample", "rrt", "--n", "2",
+                           "--reps", "200000"], env=dict(os.environ, PYTHONPATH=SRC),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 4
+    assert err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+def test_a_failing_stdout_that_is_no_file_is_an_output_error(capsys, monkeypatch):
+    # `main` run inside another program, whose stdout has no descriptor
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    assert main(["table", "eulerian", "--n", "4"]) == 4
+    assert capsys.readouterr().err == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("argv", [
+    "table eulerian --n 300", "simulate --n 30 --p 1/2 --mu dirac:1", "verify all --fast",
+])
+def test_a_full_stdout_is_an_output_error(argv):
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "counterwalk", *argv.split()], stdout=full,
+                              stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                              text=True, timeout=120)
+    assert done.returncode == 4
+    assert done.stderr == "error: cannot write to stdout: [Errno 28] No space left on device\n"
+
+
 def test_peak_rss_counts_this_process_only():
     # `ru_maxrss` of a process started by a larger one reports the larger
     # one's peak; the closing line of `verify all` must not
@@ -707,11 +748,12 @@ def test_traced_runs_see_the_layers_handlers_import(tmp_path):
     # the benchmark's tracer wraps each layer in its own module before the
     # entry point runs, so handlers that import their layers when called
     # must still reach the wrappers
-    n, reps = 300, 3
-    trace = _traced_run(tmp_path, "simulate", "--n", str(n), "--p", "1/2", "--mu", "dirac:1",
-                        "--reps", str(reps), "--traj-every", "100")
-    assert trace["counts"]["walk_engine.simulate.steps"] == n * reps
-    assert trace["counts"]["walk_engine.forest_census.vertices"] == n * reps
+    argv = ["simulate", "--n", "300", "--p", "1/2", "--mu", "gauss:0,1", "--reps", "3",
+            "--traj-every", "100"]
+    trace = _traced_run(tmp_path, *argv)
+    innovations = sum(int(row.split(",")[2]) for row in run_python("-m", "counterwalk", *argv)
+                      .stdout.splitlines()[2:5])
+    assert trace["counts"]["walk_engine.sample_batch.draws"] == innovations > 0
     trace = _traced_run(tmp_path, "exact", "delta-pmf", "--n", "12")
     assert "eulerian" in {s[0] for s in trace["spans"]}
 

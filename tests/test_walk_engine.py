@@ -30,6 +30,7 @@ from counterwalk.walk_engine import (
     representation_residual,
     simulate,
     simulate_batch,
+    simulate_rows,
     singleton_counts,
 )
 
@@ -525,6 +526,48 @@ class TestSimulate:
         counts = run.s_check.tolist()
         assert run.as_float(run.s_check).tolist() == [float(k * c) for k in counts]
         assert run.as_float(run.s_check)[-1] == float(run.final_check)
+
+
+ROW_LAWS = [*(kind + (":" + ",".join(["1"] * count) if count else "")
+              for kind, (_, count, _, _) in _GRAMMAR.items()), "pareto:3/2", "dirac:1/3", "dirac:0"]
+
+
+class TestSimulateRows:
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
+                             ids=["0", "1/3", "1/2", "1"])
+    @pytest.mark.parametrize("mu", ROW_LAWS)
+    def test_rows_are_the_runs_of_simulate(self, mu, p):
+        # bit for bit what the chain of `WalkRun` reads gives, at horizons
+        # below, at and past one tile, with and without a trajectory
+        law, seed, reps = parse_mu_spec(mu), 29, 2
+        for n in (1, 2, 7, _TILE_CELLS, _TILE_CELLS + 1):
+            for every in (0, 1, 7):
+                rows = list(simulate_rows(n, p, law, reps, seed, every))
+                assert len(rows) == reps
+                for r, (i_n, nu1, finish) in enumerate(rows):
+                    run = simulate(n, p, law, child_seed(seed, r))
+                    at = slice(every - 1, None, every) if every else slice(0)
+                    want = (run.innovations, forest_census(run).get(1, 0), float(run.final_check),
+                            float(run.final_hat), run.as_float(run.s_check[at]).tolist(),
+                            run.as_float(run.s_hat[at]).tolist())
+                    got = (i_n, nu1, *finish())
+                    assert repr(got) == repr(want), (n, every, r)
+                    assert type(i_n) is type(nu1) is int
+
+    def test_a_draw_overflows_before_finish_and_a_final_inside_it(self):
+        rows = simulate_rows(1000, Fraction(1, 2), parse_mu_spec("pareto:0.01"), 3, 0)
+        with pytest.raises(OverflowError, match=re.escape("a pareto:1/100 step draw")):
+            list(rows)
+        for mu in ("dirac:1e308", "gauss:1e308,0"):
+            (_, _, finish), = simulate_rows(20, Fraction(1, 2), parse_mu_spec(mu), 1, 0, every=5)
+            with pytest.raises(OverflowError):
+                finish()
+
+    def test_rejects_bad_arguments_when_called(self):
+        with pytest.raises(ValueError):
+            simulate_rows(0, Fraction(1, 2), StepLaw.dirac(1), 1, 0)
+        with pytest.raises(ValueError):
+            simulate_rows(5, Fraction(3, 2), StepLaw.dirac(1), 1, 0)
 
 
 class TestForestCensus:
