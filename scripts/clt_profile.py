@@ -19,6 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from counterwalk.asymptotics import clt_variance, velocity
+from counterwalk.cli import OutputError, _emit
 from counterwalk.walk_engine import parse_mu_spec, simulate_batch
 
 QUANTILES = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
@@ -55,12 +56,10 @@ def main() -> int:
         emp = float(np.quantile(y, q))
         lines.append(f"{q},{emp!r},{gauss.inv_cdf(q)!r}")
 
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        _emit(lines, args.out)
+    except OutputError as exc:  # a full disk or a closed pipe: one line, as the CLI does
+        parser.exit(exc.exit_code, f"{parser.prog}: error: {exc}\n")
     return 0
 
 

@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from counterwalk.asymptotics import velocity
+from counterwalk.cli import OutputError, _emit
 from counterwalk.replication import child_seed
 from counterwalk.walk_engine import parse_mu_spec, simulate_batch
 
@@ -45,12 +46,10 @@ def main() -> int:
         sd = float(speeds.std(ddof=1)) / math.sqrt(args.reps)
         lines.append(f"{float(p)!r},{mean!r},{sd!r},{float(velocity(p, law.m1))!r}")
 
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    try:
+        _emit(lines, args.out)
+    except OutputError as exc:  # a full disk or a closed pipe: one line, as the CLI does
+        parser.exit(exc.exit_code, f"{parser.prog}: error: {exc}\n")
     return 0
 
 

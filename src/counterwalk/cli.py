@@ -39,7 +39,7 @@ from . import __version__
 # imports its own layers and stdlib modules when called.  So `--help` and
 # usage errors load no layer, `exact`, `table` and `limits` (stable too)
 # load neither numpy nor OpenSSL, and `simulate`, which adds `walk_engine`
-# (and through it `replication`) and reads every row from it, never loads
+# and `replication` and reads every row from a `WalkRun`, never loads
 # the acceptance suite, the verifier or the asymptotics.
 
 
@@ -159,7 +159,8 @@ def _float_range(quantity: str):
 
 
 def _cmd_simulate(args) -> int:
-    from .walk_engine import simulate_rows
+    from .replication import child_seed
+    from .walk_engine import simulate_runs
 
     p = _parse_prob(args.p)
     law = _parse_law(args.mu)
@@ -177,15 +178,24 @@ def _cmd_simulate(args) -> int:
     every = args.traj_every
     traj = ["# trajectory: rep,step,S_check,S_hat"] if every > 0 else []
     steps = range(every, args.n + 1, every) if every > 0 else ()
-    for rep, (i_n, nu1, finish) in enumerate(simulate_rows(args.n, p, law, args.reps, args.seed, every)):
-        # `finish` rounds the finals before the trajectory, and trajectories
+    runs = simulate_runs(args.n, p, law, (child_seed(args.seed, r) for r in range(args.reps)))
+    for rep in range(args.reps):
+        run = next(runs)
+        # the finals are rounded before the trajectory, and trajectories
         # never overflow first: float-law partial sums are floats already,
         # rademacher positions stay within n, and under dirac:C the final
         # reinforced position n*C bounds every earlier position
         with _float_range(f"the final position of replica {rep}"):
-            final_check, final_hat, s_check, s_hat = finish()
-        lines.append(f"{rep},{args.n},{i_n},{final_check!r},{final_hat!r},{nu1}")
-        traj.extend(f"{rep},{step},{c!r},{h!r}" for step, c, h in zip(steps, s_check, s_hat))
+            final_check, final_hat = float(run.final_check), float(run.final_hat)
+            if every > 0:
+                s_check = run.as_float(run.s_check[every - 1::every]).tolist()
+                s_hat = run.as_float(run.s_hat[every - 1::every]).tolist()
+                traj.extend(f"{rep},{step},{c!r},{h!r}" for step, c, h in zip(steps, s_check, s_hat))
+        nu1 = int((run.trees[0] == 1).sum())
+        lines.append(f"{rep},{args.n},{run.innovations},{final_check!r},{final_hat!r},{nu1}")
+        # the run and its cached step arrays go before the next is drawn
+        # (`enumerate(runs)` would hold each run until the next was drawn)
+        del run
     # every replica runs before the first write, so a failing one writes nothing
     _emit(itertools.chain(lines, traj), args.out)
     return 0

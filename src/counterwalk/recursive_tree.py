@@ -1,10 +1,10 @@
 """Random recursive / increasing trees: samplers of the odd-vertex count.
 
 The simulator reads each tree only through its size and its even-minus-odd
-count (`walk_engine.WalkRun.trees`), which tell the shapes of size <= 3
-apart.  The exact parity laws of these trees live in `eulerian`.  Random
-trees are sampled as `walk_engine.forest` forests without innovations, in
-the draw layout of `walk_engine`.
+count (`walk_engine.WalkRun.trees`, two counts over every step's root),
+which tell the shapes of size <= 3 apart.  The exact parity laws of these
+trees live in `eulerian`.  Random trees are sampled as `walk_engine.forest`
+forests without innovations, in the draw layout of `walk_engine`.
 """
 
 from __future__ import annotations

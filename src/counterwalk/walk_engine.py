@@ -11,8 +11,9 @@ builds from the picks; every simulator and
 every reduction in this module, and the tree sampler of `recursive_tree`,
 runs on its output.
 
-Draw layout, shared by `simulate`, `simulate_rows`, `simulate_batch`,
-`singleton_counts` and `recursive_tree.sample_odd_counts`: a block of ``w`` replicas on
+Draw layout, shared by `simulate_runs` (and `simulate`, its one-seed
+case), `simulate_batch`, `singleton_counts` and
+`recursive_tree.sample_odd_counts`: a block of ``w`` replicas on
 ``seq = np.random.SeedSequence(seed)`` draws from ``default_rng(seq)``,
 replica by replica, ``n`` innovation uniforms (step ``j``, 0-based, is an
 innovation when its uniform is below ``p``; the first is drawn but ignored)
@@ -37,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .eulerian import ExactPmf, Number, _as_exact, _probability, _rational
 from .replication import child_seed
@@ -410,16 +411,18 @@ def _running_sum(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class WalkRun:
-    """One realization of the coupled pair of walks.
+    """One realization of the coupled pair of walks, held as the forest
+    `_tile` draws.
 
     Per-step arrays are indexed by step: entry ``m-1`` belongs to step ``m``.
     ``eps`` marks innovations, ``x`` holds one fresh draw per innovation,
-    and ``(tree, parity)`` is the genealogical forest: the 0-based index of
-    the founding innovation (into ``x``) and the depth parity (True = odd)
-    of every vertex.  The finals are weighted sums over trees, read from
-    `trees`: ``final_check = sum delta(tree) * draw`` and ``final_hat =
-    sum size(tree) * draw``.  For lattice laws ``x`` and the derived step
-    and sum arrays count lattice steps of ``law.lattice_step`` (int64); for
+    and ``(root, parity)`` is the genealogical forest: the step of the
+    innovation that founded each vertex's tree and the vertex's depth
+    parity (True = odd).  Everything a run reports is a reduction over it;
+    the finals are weighted sums over trees, read from `trees`:
+    ``final_check = sum delta(tree) * draw`` and ``final_hat = sum
+    size(tree) * draw``.  For lattice laws ``x`` and the derived step and
+    sum arrays count lattice steps of ``law.lattice_step`` (int64); for
     float laws they hold float64 values.  `as_float` turns either into
     values.
     """
@@ -428,18 +431,39 @@ class WalkRun:
     law: StepLaw
     eps: np.ndarray
     x: np.ndarray
-    tree: np.ndarray
+    root: np.ndarray
     parity: np.ndarray
+
+    @property
+    def tree(self) -> np.ndarray:
+        """Each step's tree as the 0-based index of its draw in ``x``."""
+        import numpy as np
+
+        return (np.cumsum(self.eps) - 1)[self.root]
 
     @cached_property
     def trees(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-tree ``(size, delta)``, in innovation order: the vertex count
-        and the even-minus-odd vertex count (computed once per run)."""
+        and the even-minus-odd vertex count, which sit at each tree's root
+        step (computed once per run)."""
         import numpy as np
 
-        size = np.bincount(self.tree, minlength=self.innovations)
-        odd = np.bincount(self.tree, weights=self.parity, minlength=self.innovations)
+        # read at the root steps by index: an `eps` mask, random bits, is several times slower
+        cells = np.flatnonzero(self.eps)
+        size = np.bincount(self.root, minlength=self.n)[cells]
+        odd = np.bincount(self.root, weights=self.parity, minlength=self.n)[cells]
         return size, size - 2 * odd.astype(np.int64)
+
+    @cached_property
+    def x_hat(self) -> np.ndarray:
+        """Reinforced steps: each step takes its tree's draw, scattered to
+        the root steps and gathered at every step's root (computed once per
+        run)."""
+        import numpy as np
+
+        draw = np.empty(self.n, dtype=self.x.dtype)
+        draw[np.flatnonzero(self.eps)] = self.x
+        return draw[self.root]
 
     @cached_property
     def x_check(self) -> np.ndarray:
@@ -447,8 +471,7 @@ class WalkRun:
         (computed once per run)."""
         import numpy as np
 
-        base = self.x[self.tree]
-        return np.where(self.parity, -base, base)
+        return np.where(self.parity, -self.x_hat, self.x_hat)
 
     @property
     def s_check(self) -> np.ndarray:
@@ -458,7 +481,7 @@ class WalkRun:
     @property
     def s_hat(self) -> np.ndarray:
         """Partial sums of the reinforced walk."""
-        return _running_sum(self.x[self.tree])
+        return _running_sum(self.x_hat)
 
     @property
     def final_check(self) -> Number:
@@ -473,84 +496,45 @@ class WalkRun:
         return len(self.x)
 
     def as_float(self, a: np.ndarray) -> np.ndarray:
-        """Float64 values of ``a``, one of this run's step or sum arrays."""
-        return _as_float(self.law, a)
+        """Float64 values of ``a``, one of this run's step or sum arrays,
+        each correctly rounded: a lattice count times the step's numerator
+        is a Python integer, divided once by its denominator."""
+        import numpy as np
 
-
-def _as_float(law: StepLaw, a: np.ndarray) -> np.ndarray:
-    """Float64 values of ``a``, steps or sums of ``law`` as the simulators
-    hold them, each correctly rounded: a lattice count times the step's
-    numerator is a Python integer, divided once by its denominator."""
-    import numpy as np
-
-    step = law.lattice_step
-    if step is None:
-        return a
-    num, den = step.numerator, step.denominator
-    return np.array([u * num / den for u in a.tolist()], dtype=np.float64)
+        step = self.law.lattice_step
+        if step is None:
+            return a
+        num, den = step.numerator, step.denominator
+        return np.array([u * num / den for u in a.tolist()], dtype=np.float64)
 
 
 def simulate(n: int, p: Number, law: StepLaw, seed: int) -> WalkRun:
     """Run the coupled recursion for ``n`` steps as the one-replica block
     on ``seed`` of the module docstring's draw layout; the same seed
     reproduces the run bit for bit."""
+    return next(simulate_runs(n, p, law, (seed,)))
+
+
+def simulate_runs(n: int, p: Number, law: StepLaw, seeds: Iterable[int]) -> Iterator[WalkRun]:
+    """``simulate(n, p, law, seed)`` for each of ``seeds`` in turn, lazily,
+    with ``p`` parsed and the one-replica `_grid` built once, when called.
+    A run's fresh steps are drawn as it is yielded, so an overflowing draw
+    raises from the iterator."""
     import numpy as np
 
-    if n < 1:
-        raise ValueError("horizon must be >= 1")
-    rng, steps = _streams(seed)
-    eps, root, odd = _tile(rng, n, float(_probability(p)), 1, _grid(n, 1))
-    i_n = int(eps.sum())
-    x = law.sample_units(steps, i_n) if law.exact else law.sample_batch(steps, i_n)
-    tree = (np.cumsum(eps) - 1)[root]
-    return WalkRun(n, law, eps, x, tree, odd)
-
-
-def simulate_rows(n: int, p: Number, law: StepLaw, reps: int, seed: int,
-                  every: int = 0) -> Iterator[tuple[int, int, Callable]]:
-    """What `counterwalk simulate` prints of ``reps`` replicas, replica
-    ``r`` being the run of ``simulate(n, p, law, child_seed(seed, r))``,
-    each read as one reduction over its forest, with no `WalkRun`.
-
-    Yields ``(i_n, nu1, finish)`` per replica once its fresh steps are
-    drawn, so an overflowing draw raises from the iterator.  ``finish()``
-    returns the run's ``final_check`` and ``final_hat``, each rounded to
-    float (which may raise `OverflowError`), then the float values of its
-    ``s_check`` and ``s_hat`` at steps ``every, 2 * every, ...`` as lists,
-    empty when ``every`` is 0; all bit for bit what the run gives.
-    """
     if n < 1:
         raise ValueError("horizon must be >= 1")
     p = float(_probability(p))
     grid = _grid(n, 1)
-    return (_replica_row(n, p, law, every, grid, child_seed(seed, r)) for r in range(reps))
 
+    def run(seed: int) -> WalkRun:
+        rng, steps = _streams(seed)
+        eps, root, odd = _tile(rng, n, p, 1, grid)
+        i_n = int(np.count_nonzero(eps))
+        x = law.sample_units(steps, i_n) if law.exact else law.sample_batch(steps, i_n)
+        return WalkRun(n, law, eps, x, root, odd)
 
-def _replica_row(n: int, p: float, law: StepLaw, every: int, grid: tuple,
-                 seed: int) -> tuple[int, int, Callable]:
-    """`simulate_rows`' row of the one-replica block on ``seed``."""
-    import numpy as np
-
-    rng, steps = _streams(seed)
-    innov, root, odd = _tile(rng, n, p, 1, grid)
-    cells = np.flatnonzero(innov)
-    x = law.sample_units(steps, cells.size) if law.exact else law.sample_batch(steps, cells.size)
-    # each tree's size and odd-vertex count sit at its root cell, in innovation order
-    size = np.bincount(root, minlength=n)[cells]
-    delta = size - 2 * np.bincount(root, weights=odd, minlength=n)[cells].astype(np.int64)
-
-    def finish() -> tuple[float, float, list, list]:
-        final_check, final_hat = float(_total(law, x, delta)), float(_total(law, x, size))
-        if every == 0:
-            return final_check, final_hat, [], []
-        draw = np.empty(n, dtype=x.dtype)
-        draw[cells] = x
-        hat = draw[root]
-        at = slice(every - 1, None, every)
-        s_check = _as_float(law, _running_sum(np.where(odd, -hat, hat))[at]).tolist()
-        return final_check, final_hat, s_check, _as_float(law, _running_sum(hat)[at]).tolist()
-
-    return cells.size, int(np.count_nonzero(size == 1)), finish
+    return map(run, seeds)
 
 
 def forest_census(run: WalkRun) -> dict[int, int]:

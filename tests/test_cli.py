@@ -299,11 +299,18 @@ class TestSimulateCommand:
          "7490c210ad9185d8fa94b536b5a564deeb2f63d0537de885b9bc8650357538cc"),
         ("--n 10000 --p 1/2 --mu gauss:0,1 --reps 2 --traj-every 1000",
          "18f3465efbeb174b61950c4855a14ee8caac5478beced6c02754d41873ca7a88"),
-    ], ids=["gauss", "dirac", "rademacher", "pareto", "uniform", "dirac0", "gauss-tiles"])
+        ("--n 50 --p 1 --mu gauss:0,1 --reps 3 --traj-every 5",
+         "a697657167ffab4a6d04b1d4944c93a96dc8fad4da1d311d20e5880b3f61cc22"),
+        ("--n 1 --p 1/2 --mu gauss:0,1 --reps 3 --traj-every 1",
+         "f7b453ede40ae8357fc6736551048bb7ac1f5afdf99d977b26e8e676cf335d03"),
+    ], ids=["gauss", "dirac", "rademacher", "pareto", "uniform", "dirac0", "gauss-tiles",
+            "singletons", "one-step"])
     def test_bytes_are_pinned(self, capsys, argv, digest):
         # sha256 of stdout as printed when the replicas ran through a replica
-        # pool; the last, past one tile, as printed when each replica built a
-        # `WalkRun`
+        # pool; "gauss-tiles", past one tile, as printed when each replica
+        # built a `WalkRun`; "singletons" (p = 1, every tree one step) and
+        # "one-step" (n = 1) as printed when each row was read straight off
+        # the forest, without a `WalkRun`
         code, out, _ = run_cli(capsys, "simulate", *argv.split(), "--seed", "5")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -812,10 +819,13 @@ def test_exact_layer_imports_without_numpy_and_package_loads_no_submodule():
     assert run_python("-c", probe).stdout.strip() == "[] False"
 
 
-@pytest.mark.parametrize("script, args, header", [
+SCRIPT_RUNS = [
     ("velocity_sweep.py", ["--n", "200", "--reps", "4"], "p,mean_speed,mc_sd,predicted"),
     ("clt_profile.py", ["--n", "200", "--reps", "200"], "quantile,empirical,gaussian"),
-])
+]
+
+
+@pytest.mark.parametrize("script, args, header", SCRIPT_RUNS)
 def test_script_runs(script, args, header):
     out = run_python(os.path.join(os.path.dirname(SRC), "scripts", script), *args, timeout=120)
     assert out.returncode == 0, out.stderr
@@ -834,6 +844,27 @@ def test_script_reports_bad_input_as_usage_error(script, args, message):
     out = run_python(os.path.join(os.path.dirname(SRC), "scripts", script), *args, timeout=120)
     assert (out.returncode, out.stdout) == (2, "")
     assert f"{script}: error: {message}" in out.stderr and "Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("script, args, header", SCRIPT_RUNS)
+def test_script_writes_its_table_to_out(tmp_path, script, args, header):
+    path = tmp_path / "table.csv"
+    out = run_python(os.path.join(os.path.dirname(SRC), "scripts", script), *args, "--out", str(path),
+                     timeout=120)
+    assert (out.returncode, out.stdout, out.stderr) == (0, "", "")
+    assert path.read_text().splitlines()[0] == header
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("script, args", [run[:2] for run in SCRIPT_RUNS])
+def test_script_reports_a_full_stdout_in_one_line(script, args):
+    # as the CLI does: exit 4 and one `error:` line, no traceback
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, os.path.join(os.path.dirname(SRC), "scripts", script), *args],
+                              stdout=full, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=SRC),
+                              text=True, timeout=120)
+    assert done.returncode == 4
+    assert done.stderr == f"{script}: error: cannot write to stdout: [Errno 28] No space left on device\n"
 
 
 def test_ks_check_runs_without_scipy():

@@ -30,7 +30,7 @@ from counterwalk.walk_engine import (
     representation_residual,
     simulate,
     simulate_batch,
-    simulate_rows,
+    simulate_runs,
     singleton_counts,
 )
 
@@ -533,41 +533,48 @@ ROW_LAWS = [*(kind + (":" + ",".join(["1"] * count) if count else "")
 
 
 class TestSimulateRows:
+    """The runs that `counterwalk simulate` reads its rows from: `simulate_runs`."""
+
     @pytest.mark.parametrize("p", [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)],
                              ids=["0", "1/3", "1/2", "1"])
     @pytest.mark.parametrize("mu", ROW_LAWS)
     def test_rows_are_the_runs_of_simulate(self, mu, p):
-        # bit for bit what the chain of `WalkRun` reads gives, at horizons
-        # below, at and past one tile, with and without a trajectory
-        law, seed, reps = parse_mu_spec(mu), 29, 2
+        # run for run the forest and draws of `simulate` on each seed, at
+        # horizons below, at and past one tile; the per-tree table is the one
+        # read off each step's tree index
+        law, seeds = parse_mu_spec(mu), [child_seed(29, r) for r in range(3)]
         for n in (1, 2, 7, _TILE_CELLS, _TILE_CELLS + 1):
-            for every in (0, 1, 7):
-                rows = list(simulate_rows(n, p, law, reps, seed, every))
-                assert len(rows) == reps
-                for r, (i_n, nu1, finish) in enumerate(rows):
-                    run = simulate(n, p, law, child_seed(seed, r))
-                    at = slice(every - 1, None, every) if every else slice(0)
-                    want = (run.innovations, forest_census(run).get(1, 0), float(run.final_check),
-                            float(run.final_hat), run.as_float(run.s_check[at]).tolist(),
-                            run.as_float(run.s_hat[at]).tolist())
-                    got = (i_n, nu1, *finish())
-                    assert repr(got) == repr(want), (n, every, r)
-                    assert type(i_n) is type(nu1) is int
+            runs = list(simulate_runs(n, p, law, seeds))
+            assert len(runs) == len(seeds)
+            for seed, run in zip(seeds, runs):
+                want = simulate(n, p, law, seed)
+                for name in ("eps", "x", "root", "parity"):
+                    got, ref = getattr(run, name), getattr(want, name)
+                    assert (got.dtype, got.tobytes()) == (ref.dtype, ref.tobytes()), (n, seed, name)
+                tree = (np.cumsum(run.eps) - 1)[run.root]
+                size = np.bincount(tree, minlength=run.innovations)
+                odd = np.bincount(tree, weights=run.parity, minlength=run.innovations)
+                assert np.array_equal(run.trees[0], size)
+                assert np.array_equal(run.trees[1], size - 2 * odd.astype(np.int64))
+                assert np.array_equal(run.tree, tree)
+                assert run.x_hat.tobytes() == run.x[tree].tobytes()
 
-    def test_a_draw_overflows_before_finish_and_a_final_inside_it(self):
-        rows = simulate_rows(1000, Fraction(1, 2), parse_mu_spec("pareto:0.01"), 3, 0)
+    def test_a_draw_overflows_in_the_iterator_and_a_final_when_read(self):
+        seeds = [child_seed(0, r) for r in range(3)]
+        runs = simulate_runs(1000, Fraction(1, 2), parse_mu_spec("pareto:0.01"), seeds)
         with pytest.raises(OverflowError, match=re.escape("a pareto:1/100 step draw")):
-            list(rows)
+            list(runs)
         for mu in ("dirac:1e308", "gauss:1e308,0"):
-            (_, _, finish), = simulate_rows(20, Fraction(1, 2), parse_mu_spec(mu), 1, 0, every=5)
+            run, = simulate_runs(20, Fraction(1, 2), parse_mu_spec(mu), seeds[:1])
+            assert run.innovations == len(run.trees[0]) and run.x_hat.size == 20
             with pytest.raises(OverflowError):
-                finish()
+                float(run.final_check)
 
     def test_rejects_bad_arguments_when_called(self):
         with pytest.raises(ValueError):
-            simulate_rows(0, Fraction(1, 2), StepLaw.dirac(1), 1, 0)
+            simulate_runs(0, Fraction(1, 2), StepLaw.dirac(1), [0])
         with pytest.raises(ValueError):
-            simulate_rows(5, Fraction(3, 2), StepLaw.dirac(1), 1, 0)
+            simulate_runs(5, Fraction(3, 2), StepLaw.dirac(1), [0])
 
 
 class TestForestCensus:
