@@ -11,7 +11,6 @@ the full-scale run.
 from __future__ import annotations
 
 import math
-import time
 from fractions import Fraction
 from typing import Callable
 
@@ -419,21 +418,3 @@ def run_criterion(cid: str, seed: int = DEFAULT_SEED, fast: bool = False) -> lis
         if criterion_id == cid:
             return fn(child_seed(seed, int(cid[1:])), fast)
     raise KeyError(f"unknown criterion {cid!r}")
-
-
-def run_all(
-    seed: int = DEFAULT_SEED,
-    fast: bool = False,
-    done: Callable[[str, "list[CheckReport]", float], None] | None = None,
-) -> list[CheckReport]:
-    """Run every criterion in order; optionally hand each criterion's id,
-    reports and wall seconds to ``done`` as soon as it finishes."""
-    reports: list[CheckReport] = []
-    for cid, _, _ in ACCEPTANCE_CRITERIA:
-        start = time.perf_counter()
-        batch = run_criterion(cid, seed, fast)
-        seconds = time.perf_counter() - start
-        reports += batch
-        if done is not None:
-            done(cid, batch, seconds)
-    return reports

@@ -348,13 +348,20 @@ def _cmd_verify(args) -> int:
     per-criterion wall time and worst margin go to stderr.  A criterion that
     raises a `ValueError` or `ArithmeticError` (a broken layer refusing its
     own output) fails the gate, after the reports of those before it."""
-    from .acceptance import ACCEPTANCE_CRITERIA, DEFAULT_SEED, run_all
+    import time
 
-    failures = ran = 0
-    worst = None
+    from .acceptance import ACCEPTANCE_CRITERIA, DEFAULT_SEED, run_criterion
 
-    def done(cid, reports, seconds) -> None:
-        nonlocal failures, worst, ran
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    failures, worst = 0, None
+    for cid, _, _ in ACCEPTANCE_CRITERIA:
+        start = time.perf_counter()
+        try:
+            reports = run_criterion(cid, seed, args.fast)
+        except (ValueError, ArithmeticError) as exc:
+            sys.stderr.write(f"error: {cid} raised {type(exc).__name__}: {exc}\n")
+            return 1
+        seconds = time.perf_counter() - start
         failures += sum(not r.passed for r in reports)
         with _stdout_errors():
             sys.stdout.write("".join(r.to_json() + "\n" for r in reports))
@@ -363,14 +370,6 @@ def _cmd_verify(args) -> int:
         if worst is None or top.margin > worst.margin:
             worst = top
         sys.stderr.write(f"{cid} {seconds:.3f} s, worst margin {top.margin:.4f} {top.name}\n")
-        ran += 1
-
-    seed = DEFAULT_SEED if args.seed is None else args.seed
-    try:
-        run_all(seed=seed, fast=args.fast, done=done)
-    except (ValueError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {ACCEPTANCE_CRITERIA[ran][0]} raised {type(exc).__name__}: {exc}\n")
-        return 1
     if worst is not None:
         sys.stderr.write(f"worst margin {worst.margin:.4f} {worst.name}, {failures} failed, "
                          f"peak RSS {_peak_rss_mb():.1f} MB\n")

@@ -551,20 +551,16 @@ class TestLimitsCommand:
 class TestVerifyCommand:
     def test_json_stream_and_exit_zero_on_tiny_subset(self, capsys, monkeypatch):
         # run only the exact criteria through the real CLI entry point by
-        # monkeypatching the suite, which the handler imports when called:
-        # full runs are exercised in the acceptance tests
+        # monkeypatching the table, which the handler and `run_criterion`
+        # read when called, and time them on a fake clock: full runs are
+        # exercised in the acceptance tests
+        import time
+
         import counterwalk.acceptance as acceptance
-        from counterwalk.acceptance import run_criterion
 
-        def tiny_run_all(seed, fast, done):
-            reports = []
-            for cid in ("c01", "c04"):
-                batch = run_criterion(cid, seed, fast)
-                done(cid, batch, 0.25)
-                reports += batch
-            return reports
-
-        monkeypatch.setattr(acceptance, "run_all", tiny_run_all)
+        table = {entry[0]: entry for entry in acceptance.ACCEPTANCE_CRITERIA}
+        monkeypatch.setattr(acceptance, "ACCEPTANCE_CRITERIA", (table["c01"], table["c04"]))
+        monkeypatch.setattr(time, "perf_counter", iter([0.0, 0.25, 1.0, 1.25]).__next__)
         monkeypatch.setattr(cli, "_peak_rss_mb", lambda: 39.46)
         code, out, err = run_cli(capsys, "verify", "all", "--seed", "1", "--fast")
         assert code == 0
@@ -578,6 +574,31 @@ class TestVerifyCommand:
             "c04 0.250 s, worst margin 0.0000 c04_parity_moments",
             "worst margin 0.0000 c01_eulerian_exact, 0 failed, peak RSS 39.5 MB",
         ]
+
+    def test_a_failing_check_fails_the_gate_after_the_whole_table(self, capsys, monkeypatch):
+        # a check past its threshold does not stop the run: every criterion
+        # still reports, and the closing line counts the failure and names
+        # it as the worst margin
+        import counterwalk.acceptance as acceptance
+        from counterwalk.verify import make_report
+
+        def failing(seed, fast):
+            return [make_report("c02_forced_failure", "relative_error", 2.0, 1.0, 1, seed)]
+
+        table = {entry[0]: entry for entry in acceptance.ACCEPTANCE_CRITERIA}
+        monkeypatch.setattr(acceptance, "ACCEPTANCE_CRITERIA",
+                            (table["c01"], ("c02", "forced failure", failing), table["c04"]))
+        monkeypatch.setattr(cli, "_peak_rss_mb", lambda: 39.46)
+        code, out, err = run_cli(capsys, "verify", "all", "--fast")
+        assert code == 1
+        reports = [json.loads(line) for line in out.splitlines()]
+        assert [(r["name"], r["passed"]) for r in reports] == [
+            ("c01_eulerian_exact", True), ("c02_forced_failure", False), ("c04_parity_moments", True),
+        ]
+        *per_criterion, closing = err.splitlines()
+        assert [line.split()[0] for line in per_criterion] == ["c01", "c02", "c04"]
+        assert per_criterion[1].endswith(" s, worst margin 2.0000 c02_forced_failure")
+        assert closing == "worst margin 2.0000 c02_forced_failure, 1 failed, peak RSS 39.5 MB"
 
     def test_stdout_is_reproducible_and_stderr_reports_margins(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_peak_rss_mb", lambda: 50.0)
@@ -763,6 +784,20 @@ def test_traced_runs_see_the_layers_handlers_import(tmp_path):
     assert trace["counts"]["walk_engine.sample_batch.draws"] == innovations > 0
     trace = _traced_run(tmp_path, "exact", "delta-pmf", "--n", "12")
     assert "eulerian" in {s[0] for s in trace["spans"]}
+
+
+def test_traced_verify_records_every_criterion(tmp_path):
+    # the benchmark times and scores each criterion by wrapping
+    # `acceptance.run_criterion`, so `verify all` must run every criterion
+    # through it; each traced margin is the worst one the CLI prints
+    trace = _traced_run(tmp_path, "verify", "all", "--fast")
+    printed = {f"acceptance.{line.split()[0]}": line.split()[5]
+               for line in run_python("-m", "counterwalk", "verify", "all", "--fast")
+               .stderr.splitlines()[:-1]}
+    layers = [f"acceptance.c{i:02d}" for i in range(1, 15)]
+    assert set(layers) <= {span[0] for span in trace["spans"]}
+    assert list(printed) == sorted(trace["margins"]) == layers
+    assert {layer: f"{margin:.4f}" for layer, margin in trace["margins"].items()} == printed
 
 
 def test_exact_workload_checks_pass(tmp_path):
