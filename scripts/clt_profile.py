@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from counterwalk.asymptotics import clt_variance, velocity
-from counterwalk.cli import OutputError, _emit
+from counterwalk.cli import OutputError, _emit, _seed
 from counterwalk.walk_engine import parse_mu_spec, simulate_batch
 
 QUANTILES = [0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99]
@@ -31,7 +31,7 @@ def main() -> int:
     parser.add_argument("--reps", type=int, default=4_000)
     parser.add_argument("--p", default="1/2")
     parser.add_argument("--mu", default="dirac:1")
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--seed", type=_seed, default=11)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 

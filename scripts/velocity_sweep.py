@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 
 from counterwalk.asymptotics import velocity
-from counterwalk.cli import OutputError, _emit
+from counterwalk.cli import OutputError, _emit, _seed
 from counterwalk.replication import child_seed
 from counterwalk.walk_engine import parse_mu_spec, simulate_batch
 
@@ -28,7 +28,7 @@ def main() -> int:
     parser.add_argument("--n", type=int, default=20_000)
     parser.add_argument("--reps", type=int, default=64)
     parser.add_argument("--mu", default="dirac:1")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=_seed, default=7)
     parser.add_argument("--out", default=None)
     args = parser.parse_args()
 

@@ -22,7 +22,8 @@ reruns are byte-identical and self-describing.
 Exit codes: 0 success, 1 failed verification checks (a criterion that
 raises included), 2 usage or grammar errors, 3 cap violations (a result
 beyond the float range among them), 4 output I/O errors (a stdout that
-fails, such as a closed pipe or a full disk, too).
+fails, such as a closed pipe or a full disk, and a `simulate` row spool
+that cannot be written, too).
 """
 
 from __future__ import annotations
@@ -37,10 +38,12 @@ from . import __version__
 # Start-up loads only this dispatcher (`site` has loaded `contextlib` and
 # `collections` already); `build_parser` adds `argparse`, and every handler
 # imports its own layers and stdlib modules when called.  So `--help` and
-# usage errors load no layer, `exact`, `table` and `limits` (stable too)
-# load neither numpy nor OpenSSL, and `simulate`, which adds `walk_engine`
-# and `replication` and reads every row from a `WalkRun`, never loads
-# the acceptance suite, the verifier or the asymptotics.
+# usage errors load no layer (a `--seed` loads `replication`, whose
+# `child_seed` checks it), `exact`, `table` and `limits` (stable too) load
+# neither numpy nor OpenSSL, and `simulate`, which adds `walk_engine` and
+# `replication`, reads every row from a `WalkRun` and spools the rows to
+# `tempfile`'s unnamed files (numpy has loaded `tempfile` already), never
+# loads the acceptance suite, the verifier or the asymptotics.
 
 
 class CliError(Exception):
@@ -146,6 +149,24 @@ def _parse_law(text: str):
         raise CliError(str(exc)) from None
 
 
+def _seed(text: str) -> int:
+    """The type of every ``--seed``: an integer that `replication.child_seed`
+    takes as a master seed, so that a seed it refuses is a usage error."""
+    import argparse
+
+    from .replication import child_seed
+
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        child_seed(seed, 0)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return seed
+
+
 @contextmanager
 def _float_range(quantity: str):
     """Report a float result past the float range as a cap error naming ``quantity``."""
@@ -159,6 +180,8 @@ def _float_range(quantity: str):
 
 
 def _cmd_simulate(args) -> int:
+    import tempfile
+
     from .replication import child_seed
     from .walk_engine import simulate_runs
 
@@ -174,31 +197,49 @@ def _cmd_simulate(args) -> int:
         args.seed, "simulate", n=args.n, p=p, mu=law.spec_string(), reps=args.reps,
         seed=args.seed, traj_every=args.traj_every,
     )
-    lines = ["rep,n,i_n,S_check,S_hat,nu1", comment]
     every = args.traj_every
-    traj = ["# trajectory: rep,step,S_check,S_hat"] if every > 0 else []
     steps = range(every, args.n + 1, every) if every > 0 else ()
     runs = simulate_runs(args.n, p, law, (child_seed(args.seed, r) for r in range(args.reps)))
-    for rep in range(args.reps):
-        run = next(runs)
-        # the finals are rounded before the trajectory, and trajectories
-        # never overflow first: float-law partial sums are floats already,
-        # rademacher positions stay within n, and under dirac:C the final
-        # reinforced position n*C bounds every earlier position
-        with _float_range(f"the final position of replica {rep}"):
-            final_check, final_hat = float(run.final_check), float(run.final_hat)
-            if every > 0:
-                s_check = run.as_float(run.s_check[every - 1::every]).tolist()
-                s_hat = run.as_float(run.s_hat[every - 1::every]).tolist()
-                traj.extend(f"{rep},{step},{c!r},{h!r}" for step, c, h in zip(steps, s_check, s_hat))
-        nu1 = int((run.trees[0] == 1).sum())
-        lines.append(f"{rep},{args.n},{run.innovations},{final_check!r},{final_hat!r},{nu1}")
-        # the run and its cached step arrays go before the next is drawn
-        # (`enumerate(runs)` would hold each run until the next was drawn)
-        del run
-    # every replica runs before the first write, so a failing one writes nothing
-    _emit(itertools.chain(lines, traj), args.out)
+    # each replica's summary and trajectory rows go to two unnamed temporary
+    # files as soon as they are formatted, so memory does not grow with
+    # --reps; every replica runs before the first write to the output, so a
+    # failing one writes nothing
+    with (_spool_errors(), tempfile.TemporaryFile("w+", encoding="utf-8") as rows,
+          tempfile.TemporaryFile("w+", encoding="utf-8") as traj):
+        for rep in range(args.reps):
+            run = next(runs)
+            # the finals are rounded before the trajectory, and trajectories
+            # never overflow first: float-law partial sums are floats already,
+            # rademacher positions stay within n, and under dirac:C the final
+            # reinforced position n*C bounds every earlier position
+            with _float_range(f"the final position of replica {rep}"):
+                final_check, final_hat = float(run.final_check), float(run.final_hat)
+                if every > 0:
+                    s_check = run.as_float(run.s_check[every - 1::every]).tolist()
+                    s_hat = run.as_float(run.s_hat[every - 1::every]).tolist()
+                    traj.writelines(f"{rep},{step},{c!r},{h!r}\n"
+                                    for step, c, h in zip(steps, s_check, s_hat))
+            nu1 = int((run.trees[0] == 1).sum())
+            rows.write(f"{rep},{args.n},{run.innovations},{final_check!r},{final_hat!r},{nu1}\n")
+            # the run and its cached step arrays go before the next is drawn
+            # (`enumerate(runs)` would hold each run until the next was drawn)
+            del run
+        # seeking flushes a spool, so a full disk is found before the output is opened
+        rows.seek(0)
+        traj.seek(0)
+        _emit(itertools.chain(["rep,n,i_n,S_check,S_hat,nu1", comment], (line[:-1] for line in rows),
+                              ["# trajectory: rep,step,S_check,S_hat"] if every > 0 else [],
+                              (line[:-1] for line in traj)), args.out)
     return 0
+
+
+@contextmanager
+def _spool_errors():
+    """Report a temporary file that cannot be made or written as an output error."""
+    try:
+        yield
+    except OSError as exc:
+        raise OutputError(f"cannot spool rows to a temporary file: {exc}") from None
 
 
 # ---------------------------------------------------------------- exact
@@ -276,10 +317,18 @@ def _cmd_sample(args) -> int:
     if args.reps < 1:
         raise CliError("--reps must be >= 1")
     comment = _comment_line(args.seed, "sample-rrt", n=args.n, reps=args.reps, seed=args.seed)
-    odds = sample_odd_counts(args.n, args.reps, args.seed).tolist()
-    rows = (f"{rep},{args.n - odd},{odd},{args.n - 2 * odd}" for rep, odd in enumerate(odds))
-    _emit(itertools.chain(["rep,even,odd,delta", comment], rows), args.out)
+    odds = sample_odd_counts(args.n, args.reps, args.seed)
+    _emit(itertools.chain(["rep,even,odd,delta", comment], _rrt_rows(args.n, odds)), args.out)
     return 0
+
+
+def _rrt_rows(n: int, odds) -> Iterator[str]:
+    # the counts become Python ints a chunk at a time, so only the int64
+    # array grows with --reps
+    chunk = 4096
+    for start in range(0, len(odds), chunk):
+        for rep, odd in enumerate(odds[start:start + chunk].tolist(), start):
+            yield f"{rep},{n - odd},{odd},{n - 2 * odd}"
 
 
 # ---------------------------------------------------------------- limits
@@ -407,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--p", required=True, help="innovation probability (rational, e.g. 1/2)")
     sim.add_argument("--mu", required=True, help="step law: rademacher | dirac:C | uniform | gauss:M,V | pareto:A")
     sim.add_argument("--reps", type=int, default=1)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_seed, default=0)
     sim.add_argument("--traj-every", type=int, default=0, dest="traj_every",
                      help="also emit trajectory rows every T steps")
     sim.add_argument("--out", default=None, help="output CSV path (default: stdout)")
@@ -436,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     sr = sample_sub.add_parser("rrt")
     sr.add_argument("--n", type=int, required=True)
     sr.add_argument("--reps", type=int, default=1)
-    sr.add_argument("--seed", type=int, default=0)
+    sr.add_argument("--seed", type=_seed, default=0)
     sr.add_argument("--out", default=None)
     sr.set_defaults(fn=_cmd_sample)
 
@@ -462,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the acceptance suite")
     verify_sub = verify.add_subparsers(dest="verify_mode", required=True)
     va = verify_sub.add_parser("all")
-    va.add_argument("--seed", type=int, default=None)  # None: the suite's pinned seed
+    va.add_argument("--seed", type=_seed, default=None)  # None: the suite's pinned seed
     va.add_argument("--fast", action="store_true",
                     help="10x smaller replica counts/horizons with widened bands (smoke mode)")
     va.set_defaults(fn=_cmd_verify)

@@ -28,8 +28,12 @@ def splitmix64(z: int) -> int:
 
 
 def child_seed(master: int, index: int) -> int:
-    """Collision-resistant child seed for replica ``index``."""
-    return splitmix64((master & _MASK) ^ splitmix64(index & _MASK))
+    """Collision-resistant child seed for replica ``index`` of ``master``,
+    a seed in [0, 2**64); any other master raises `ValueError`, since
+    reducing it mod 2**64 would alias another seed."""
+    if not 0 <= master <= _MASK:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {master}")
+    return splitmix64(master ^ splitmix64(index & _MASK))
 
 
 def run_replicas(fn: Callable[[U], T], tasks: Sequence[U], workers: int | None = None) -> list[T]:

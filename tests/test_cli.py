@@ -226,6 +226,15 @@ class TestSampleCommand:
         assert len(twenty.splitlines()) == 2 + 20
         assert twenty.splitlines()[2:7] == five.splitlines()[2:]
 
+    def test_rows_across_chunks_read_the_whole_array(self, capsys):
+        # the counts become Python ints a chunk at a time; 10,000 rows span three chunks
+        from counterwalk.recursive_tree import sample_odd_counts
+
+        code, out, _ = run_cli(capsys, "sample", "rrt", "--n", "3", "--reps", "10000", "--seed", "6")
+        odds = sample_odd_counts(3, 10_000, 6).tolist()
+        assert code == 0
+        assert out.splitlines()[2:] == [f"{rep},{3 - odd},{odd},{3 - 2 * odd}" for rep, odd in enumerate(odds)]
+
 
 class TestSimulateCommand:
     def test_writes_idempotent_file(self, tmp_path, capsys):
@@ -336,6 +345,80 @@ class TestSimulateCommand:
         assert run_cli(capsys, *argv, "--reps", "8", "--out", str(path))[:2] == (3, "")
         assert not path.exists()
 
+    @pytest.mark.parametrize("every", ["0", "1"], ids=["summary", "trajectory"])
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    def test_memory_does_not_grow_with_reps(self, tmp_path, monkeypatch, to_stdout, every):
+        # rows are spooled to temporary files as each replica finishes, so
+        # ten times the replicas add no live memory; rows held in lists to
+        # the end added about 100 B per replica, and 300 B with a trajectory
+        # at n = 2 (under tracemalloc a replica takes about 0.6 ms, so the
+        # counts stay small)
+        path = tmp_path / "runs.csv"
+        argv = ["simulate", "--n", "2", "--p", "1/2", "--mu", "gauss:0,1", "--traj-every", every,
+                *([] if to_stdout else ["--out", str(path)])]
+
+        def peak(reps):
+            with open(tmp_path / "stdout", "w", encoding="utf-8") as stdout:
+                monkeypatch.setattr(sys, "stdout", stdout)
+                tracemalloc.start()
+                try:
+                    assert main([*argv, "--reps", str(reps)]) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        peak(1)  # lazy imports and first-call caches
+        small = peak(200)
+        assert peak(2_000) < small + (48 << 10)
+        lines = (tmp_path / ("stdout" if to_stdout else "runs.csv")).read_text().splitlines()
+        assert len(lines) == 2 + 2_000 + (1 + 2 * 2_000 if every == "1" else 0)
+
+    @pytest.mark.parametrize("case", ["success", "failing-replica", "unwritable-out"])
+    def test_spools_leave_no_file_behind(self, tmp_path, monkeypatch, capsys, case):
+        import tempfile
+
+        spool_dir = tmp_path / "spool"
+        spool_dir.mkdir()
+        monkeypatch.setenv("TMPDIR", str(spool_dir))
+        monkeypatch.setattr(tempfile, "tempdir", None)  # read TMPDIR again
+        argv = {
+            "success": "--n 40 --p 1/2 --mu dirac:1 --reps 5 --traj-every 10",
+            "failing-replica": "--n 40 --p 1/2 --mu pareto:0.01 --seed 3 --reps 8 --traj-every 10",
+            "unwritable-out": f"--n 40 --p 1/2 --mu dirac:1 --reps 5 --traj-every 10 --out {tmp_path}",
+        }[case].split()
+        code, out, _ = run_cli(capsys, "simulate", *argv)
+        assert (code, bool(out)) == {"success": (0, True), "failing-replica": (3, False),
+                                     "unwritable-out": (4, False)}[case]
+        assert tempfile.gettempdir() == str(spool_dir)
+        assert os.listdir(spool_dir) == []
+
+    def test_a_spool_that_cannot_be_made_is_an_output_error(self, tmp_path, monkeypatch, capsys):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        path = tmp_path / "runs.csv"
+        code, out, err = run_cli(capsys, "simulate", "--n", "5", "--p", "1/2", "--mu", "dirac:1",
+                                 "--out", str(path))
+        assert (code, out) == (4, "") and not path.exists()
+        assert err.startswith("error: cannot spool rows to a temporary file: [Errno 2]")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    @pytest.mark.parametrize("to_stdout", [False, True], ids=["out", "stdout"])
+    def test_a_full_spool_is_an_output_error_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                               to_stdout):
+        import tempfile
+
+        # each spool's buffered rows are written when it is rewound, before
+        # the output is opened
+        monkeypatch.setattr(tempfile, "TemporaryFile",
+                            lambda mode, encoding: open("/dev/full", mode, encoding=encoding))
+        path = tmp_path / "runs.csv"
+        code, out, err = run_cli(capsys, "simulate", "--n", "5", "--p", "1/2", "--mu", "dirac:1",
+                                 *([] if to_stdout else ["--out", str(path)]))
+        assert (code, out, err) == (
+            4, "", "error: cannot spool rows to a temporary file: [Errno 28] No space left on device\n")
+        assert not path.exists()
+
     def test_bad_mu_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--n", "5", "--p", "1/2", "--mu", "cauchy")
         assert code == 2
@@ -369,6 +452,31 @@ class TestSimulateCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: invalid step-law spec '{mu}'") and "too large for a float" in err
+
+
+SEEDED = ["simulate --n 5 --p 1/2 --mu dirac:1", "sample rrt --n 5", "verify all --fast"]
+
+
+@pytest.mark.parametrize("argv", SEEDED, ids=lambda argv: argv.split()[0])
+@pytest.mark.parametrize("seed, message", [
+    ("-1", "seed must be an integer in [0, 2**64), got -1"),
+    ("18446744073709551616", "seed must be an integer in [0, 2**64), got 18446744073709551616"),
+    ("x", "invalid int value: 'x'"),
+])
+def test_a_seed_outside_64_bits_is_a_usage_error(capsys, argv, seed, message):
+    # reduced mod 2**64, -1 would run the draws of 2**64 - 1 under another config hash
+    with pytest.raises(SystemExit) as exc:
+        main([*argv.split(), "--seed", seed])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: argument --seed: {message}\n")
+
+
+@pytest.mark.parametrize("argv", SEEDED[:2], ids=lambda argv: argv.split()[0])
+def test_the_largest_seed_runs(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv.split(), "--seed", str(2**64 - 1))
+    assert code == 0
+    assert out.splitlines()[1].startswith(f"# counterwalk={counterwalk.__version__} seed={2**64 - 1} ")
 
 
 # command -> the quantity its float-range error names
@@ -873,6 +981,9 @@ def test_script_runs(script, args, header):
     ("clt_profile.py", ["--p", "0"], "innovation probability must lie in (0, 1]"),
     ("clt_profile.py", ["--mu", "dirac:1/0"], "invalid step-law spec 'dirac:1/0'"),
     ("velocity_sweep.py", ["--mu", "cauchy"], "invalid step-law spec 'cauchy'"),
+    ("clt_profile.py", ["--seed", "-1"], "argument --seed: seed must be an integer in [0, 2**64), got -1"),
+    ("velocity_sweep.py", ["--seed", str(2**64)],
+     f"argument --seed: seed must be an integer in [0, 2**64), got {2**64}"),
 ])
 def test_script_reports_bad_input_as_usage_error(script, args, message):
     # the library's ValueError becomes argparse's usage error, not a traceback

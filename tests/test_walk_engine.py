@@ -845,6 +845,16 @@ class TestBatch:
         a = singleton_counts(50, Fraction(1, 2), 500, 42)
         assert np.array_equal(a, singleton_counts(50, Fraction(1, 2), 500, 42))
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, -(2**64)])
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        # reduced mod 2**64, -1 would alias 2**64 - 1 and 2**64 would alias 0
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            child_seed(seed, 0)
+        with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\*\*64\)"):
+            simulate_batch(5, Fraction(1, 2), StepLaw.dirac(1), 3, seed)
+        for edge in (0, 2**64 - 1):
+            assert simulate_batch(5, Fraction(1, 2), StepLaw.dirac(1), 3, edge).shape == (3,)
+
     def test_extreme_innovation_rates(self):
         # every step an innovation: each replica sums n unit draws
         ones = simulate_batch(10, Fraction(1), StepLaw.dirac(1), 100, 5)
